@@ -47,9 +47,6 @@ def _add_physics_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lin-tol", type=float, default=1e-12)
     p.add_argument("--fix-tol", type=float, default=1e-10)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface compatibility; runs are "
-                        "executed sequentially")
 
 
 def _build_parser():
@@ -115,8 +112,8 @@ def _make_field(args) -> EffectiveField:
     return EffectiveField(ell_ex=args.ellex, uniaxial=uni, applied=applied)
 
 
-def _make_integrator(args, scheme=None, k=None) -> IntegratorConfig:
-    return IntegratorConfig(scheme=scheme or args.scheme, k=k or args.k,
+def _make_integrator(args) -> IntegratorConfig:
+    return IntegratorConfig(scheme=args.scheme, k=args.k,
                             theta=args.theta, alpha=args.alpha,
                             lin_tol=args.lin_tol, fixpoint_tol=args.fix_tol)
 

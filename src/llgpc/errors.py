@@ -18,11 +18,8 @@ class ParseError(LlgpcError, ValueError):
 
 
 class GeometryError(LlgpcError, ValueError):
-    """A mesh is geometrically degenerate (non-positive tet volume)."""
-
-
-class SingularSystemError(LlgpcError):
-    """A small direct solve hit a (near-)singular matrix."""
+    """A mesh is geometrically invalid: a non-finite coordinate or a
+    non-positive tet volume."""
 
 
 class ProjectionDegenerateError(LlgpcError):

@@ -160,21 +160,19 @@ class AngleConditionReport:
 def check_angle_condition(stiffness: CsrMatrix,
                           slack: float = 1e-13) -> AngleConditionReport:
     """Pass iff every off-diagonal stiffness entry is <= slack."""
-    bad = []
-    worst = -np.inf
-    for i in range(stiffness.n_rows):
-        for p in range(stiffness.indptr[i], stiffness.indptr[i + 1]):
-            j = int(stiffness.indices[p])
-            if j == i:
-                continue
-            v = float(stiffness.data[p])
-            worst = max(worst, v)
-            if v > slack:
-                bad.append((i, j, v))
-    bad.sort(key=lambda e: -e[2])
-    return AngleConditionReport(passed=not bad,
-                                worst_offdiag=worst if np.isfinite(worst) else 0.0,
-                                offending=tuple(bad[:10]))
+    rows = stiffness.rows
+    off = rows != stiffness.indices
+    rows = rows[off]
+    cols = stiffness.indices[off]
+    vals = stiffness.data[off]
+    bad = np.flatnonzero(vals > slack)
+    # stable sort keeps stored order among equal values
+    worst_first = bad[np.argsort(-vals[bad], kind="stable")]
+    return AngleConditionReport(
+        passed=bad.size == 0,
+        worst_offdiag=float(vals.max()) if vals.size else 0.0,
+        offending=tuple((int(rows[p]), int(cols[p]), float(vals[p]))
+                        for p in worst_first[:10]))
 
 
 @dataclass(frozen=True)

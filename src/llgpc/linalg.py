@@ -1,24 +1,24 @@
-"""Sparse CSR storage and the iterative/direct solvers used by the schemes.
+"""Sparse CSR storage and the GMRES solver used by the schemes.
 
-The iterative solvers take an operator callback rather than a matrix: the
-predictor systems change every time step, and callers may apply them
-term-by-term without ever materializing a matrix.
+GMRES takes an operator callback rather than a matrix: the predictor
+systems change every time step, and callers apply them term-by-term
+without ever materializing a matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
-from .errors import InvalidParameterError, NoConvergenceError, SingularSystemError
+from .errors import InvalidParameterError, NoConvergenceError
 
 
 @dataclass(frozen=True)
 class CsrMatrix:
     """Compressed-row scalar matrix.
 
-    Column indices are strictly increasing within each row and row offsets
-    are monotone; both are enforced at construction.
+    Column indices are strictly increasing within each row and lie in
+    [0, n_cols); row offsets are monotone; both are enforced at
+    construction.
     """
 
     indptr: np.ndarray
@@ -32,13 +32,17 @@ class CsrMatrix:
             raise InvalidParameterError("indptr length must be n_rows + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.data.shape[0]:
             raise InvalidParameterError("indptr must start at 0 and end at nnz")
+        if self.indices.shape != self.data.shape:
+            raise InvalidParameterError("indices and data must have nnz entries")
         if np.any(np.diff(self.indptr) < 0):
             raise InvalidParameterError("row offsets must be monotone")
-        for i in range(self.n_rows):
-            cols = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0
-                              or cols[-1] >= self.n_cols):
-                raise InvalidParameterError(f"bad column indices in row {i}")
+        rows = self.rows
+        cols = self.indices
+        bad = (cols < 0) | (cols >= self.n_cols)
+        bad[1:] |= (rows[1:] == rows[:-1]) & (np.diff(cols) <= 0)
+        if np.any(bad):
+            raise InvalidParameterError(
+                f"bad column indices in row {rows[np.argmax(bad)]}")
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
@@ -69,44 +73,40 @@ class CsrMatrix:
                    n_rows=n_rows, n_cols=n_cols)
 
     @property
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry; computed, not stored, so a
+        matrix holds no more memory than its three CSR arrays."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    @property
     def nnz(self) -> int:
         return int(self.data.shape[0])
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        for i in range(self.n_rows):
-            for p in range(self.indptr[i], self.indptr[i + 1]):
-                out[i, self.indices[p]] += self.data[p]
+        out[self.rows, self.indices] = self.data
         return out
-
-    def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.n_rows)
-        for i in range(min(self.n_rows, self.n_cols)):
-            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            hit = np.searchsorted(row, i)
-            if hit < row.size and row[hit] == i:
-                d[i] = self.data[self.indptr[i] + hit]
-        return d
 
 
 def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A x with deterministic stored-order summation per row."""
+    """y = A x for a vector or an (n, 3) field, summing each row in stored
+    order, so repeated calls with identical inputs are bitwise identical."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != a.n_cols:
         raise InvalidParameterError(
             f"dimension mismatch: matrix is {a.n_rows}x{a.n_cols}, "
             f"vector has length {x.shape[0]}"
         )
+    rows = a.rows
     if x.ndim == 1:
-        out = np.empty(a.n_rows)
-        accel.csr_matvec(a.indptr, a.indices, a.data, x, out)
-    elif x.ndim == 2 and x.shape[1] == 3:
-        out = np.empty((a.n_rows, 3))
-        accel.csr_matvec3(a.indptr, a.indices, a.data,
-                          np.ascontiguousarray(x), out)
-    else:
-        raise InvalidParameterError("x must be a vector or an (n, 3) field")
-    return out
+        return np.bincount(rows, weights=a.data * x[a.indices],
+                           minlength=a.n_rows)
+    if x.ndim == 2 and x.shape[1] == 3:
+        return np.column_stack([
+            np.bincount(rows, weights=a.data * x[a.indices, c],
+                        minlength=a.n_rows)
+            for c in range(3)])
+    raise InvalidParameterError("x must be a vector or an (n, 3) field")
 
 
 @dataclass
@@ -138,17 +138,18 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
         return SolveResult(x=np.zeros(n), iterations=0, residual=0.0)
     tol = rtol * bnorm
 
-    total_iters = 0
+    # with x0 = None the initial residual is b itself; after that, each
+    # restart reuses the residual computed at the end of the previous cycle
+    r = b if x0 is None else b - apply(x)
+    beta = best_res = _norm(r)
     best_x = x.copy()
-    best_res = _norm(b - apply(x))
-    if best_res <= tol:
-        return SolveResult(x=best_x, iterations=0, residual=best_res)
-
-    while total_iters < maxit:
-        r = b - apply(x)
-        beta = _norm(r)
+    total_iters = 0
+    while True:
         if beta <= tol:
             return SolveResult(x=x, iterations=total_iters, residual=beta)
+        if total_iters >= maxit:
+            raise NoConvergenceError("GMRES did not converge", best_x=best_x,
+                                     residual=best_res, iterations=total_iters)
         m = min(restart, maxit - total_iters)
         V = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
@@ -189,77 +190,8 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
                 break
         y = np.linalg.solve(np.triu(H[:k_done, :k_done]), g[:k_done])
         x = x + V[:k_done].T @ y
-        res = _norm(b - apply(x))
-        if res < best_res:
-            best_res = res
+        r = b - apply(x)
+        beta = _norm(r)
+        if beta < best_res:
+            best_res = beta
             best_x = x.copy()
-        if res <= tol:
-            return SolveResult(x=x, iterations=total_iters, residual=res)
-
-    raise NoConvergenceError("GMRES did not converge", best_x=best_x,
-                             residual=best_res, iterations=total_iters)
-
-
-def cg(apply, b, x0=None, rtol=1e-12, maxit=None):
-    """Conjugate gradients for a symmetric positive definite operator."""
-    if rtol <= 0:
-        raise InvalidParameterError("rtol must be positive")
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    if maxit is None:
-        maxit = max(10 * n, 100)
-    bnorm = _norm(b)
-    if bnorm == 0.0:
-        return SolveResult(x=np.zeros(n), iterations=0, residual=0.0)
-    tol = rtol * bnorm
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - apply(x)
-    p = r.copy()
-    rs = np.dot(r, r)
-    best_x = x.copy()
-    best_res = np.sqrt(rs)
-    for it in range(1, maxit + 1):
-        if np.sqrt(rs) <= tol:
-            return SolveResult(x=x, iterations=it - 1, residual=_norm(b - apply(x)))
-        ap = apply(p)
-        denom = np.dot(p, ap)
-        if denom <= 0.0:
-            raise NoConvergenceError("CG hit a non-SPD direction", best_x=best_x,
-                                     residual=best_res, iterations=it - 1)
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = np.dot(r, r)
-        if np.sqrt(rs_new) < best_res:
-            best_res = np.sqrt(rs_new)
-            best_x = x.copy()
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    res = _norm(b - apply(x))
-    if res <= tol:
-        return SolveResult(x=x, iterations=maxit, residual=res)
-    raise NoConvergenceError("CG did not converge", best_x=best_x,
-                             residual=best_res, iterations=maxit)
-
-
-def solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct solve of a single 3x3 system via Cramer's rule."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != (3, 3) or b.shape != (3,):
-        raise InvalidParameterError("solve3 expects a 3x3 matrix and a 3-vector")
-    det = (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-           - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-           + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
-    scale = max(float(np.max(np.abs(a))), 1.0) ** 3
-    if abs(det) <= 1e-14 * scale:
-        raise SingularSystemError(f"3x3 system is near-singular (det={det:.3e})")
-    x = np.empty(3)
-    for j in range(3):
-        aj = a.copy()
-        aj[:, j] = b
-        dj = (aj[0, 0] * (aj[1, 1] * aj[2, 2] - aj[1, 2] * aj[2, 1])
-              - aj[0, 1] * (aj[1, 0] * aj[2, 2] - aj[1, 2] * aj[2, 0])
-              + aj[0, 2] * (aj[1, 0] * aj[2, 1] - aj[1, 1] * aj[2, 0]))
-        x[j] = dj / det
-    return x

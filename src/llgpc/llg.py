@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import accel
 from .errors import FixedPointDivergenceError, InvalidParameterError
 from .fem import (Assemblies, UNIT_TOL, apply_Ph, discrete_laplacian,
                   inner_l2, is_unit, nodal_project_sphere)
@@ -134,7 +133,8 @@ def energy(asm: Assemblies, field_cfg: EffectiveField, m: np.ndarray,
         e -= 0.5 * inner_l2(asm.mass, apply_pi(field_cfg, m), m)
     f = field_cfg.f_at(t)
     if f is not None:
-        e -= inner_l2(asm.mass, np.broadcast_to(f, m.shape).copy(), m)
+        # M's row sums are beta, so <f, m>_L2 = f . (beta @ m) exactly
+        e -= f @ (asm.beta @ m)
     return float(e)
 
 
@@ -184,20 +184,16 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
     c_ex = field_cfg.ell_ex ** 2 * cfg.theta * cfg.k
     st = asm.stiffness
     beta = asm.beta
-    m = np.ascontiguousarray(m)
 
     h0 = field_cfg.ell_ex ** 2 * discrete_laplacian(st, beta, m)
     if h_lower is not None:
         h0 = h0 + h_lower
     rhs = -_cross_damped(m, h0, a)
 
-    out = np.empty((n, 3))
-
     def apply(x):
-        v = np.ascontiguousarray(x.reshape(n, 3))
-        accel.predictor_apply(st.indptr, st.indices, st.data, beta, m, v,
-                              c_ex, a, out)
-        return out.reshape(-1).copy()
+        v = x.reshape(n, 3)
+        lap = discrete_laplacian(st, beta, v)
+        return ((1.0 + a * a) * v + c_ex * _cross_damped(m, lap, a)).reshape(-1)
 
     res = gmres(apply, rhs.reshape(-1), rtol=cfg.lin_tol, restart=cfg.restart,
                 maxit=cfg.maxit)

@@ -53,10 +53,14 @@ def _max_edge_length(vertices, tets):
 
 
 def make_mesh(vertices, tets, fix_orientation=False) -> Mesh:
-    """Validate connectivity and volumes and compute h_max."""
+    """Validate coordinates, connectivity and volumes and compute h_max."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     tets = np.ascontiguousarray(tets, dtype=np.int64)
     n = vertices.shape[0]
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise GeometryError(f"vertex {bad} has a non-finite coordinate")
     if tets.size and (tets.min() < 0 or tets.max() >= n):
         raise ParseError(f"tet index out of range (mesh has {n} vertices)")
     vols = tet_volumes(vertices, tets)

@@ -205,10 +205,32 @@ class TestAngleCondition:
         ])
         mesh = make_mesh(verts, np.array([[0, 1, 2, 3], [0, 2, 1, 4]]),
                          fix_orientation=True)
-        report = check_angle_condition(build_assemblies(mesh).stiffness)
+        stiffness = build_assemblies(mesh).stiffness
+        report = check_angle_condition(stiffness)
         assert not report.passed
         assert report.worst_offdiag > 0
         assert len(report.offending) >= 1
+        assert report.offending == _offending_by_scan(stiffness)
+
+    def test_report_worst_first_capped_at_ten(self):
+        rng = np.random.Generator(np.random.Philox(9))
+        cube = build_cube_mesh(2, 1.0)
+        verts = cube.vertices + 0.1 * rng.normal(size=cube.vertices.shape)
+        mesh = make_mesh(verts, cube.tets, fix_orientation=True)
+        stiffness = build_assemblies(mesh).stiffness
+        report = check_angle_condition(stiffness)
+        assert len(report.offending) == 10
+        assert report.offending == _offending_by_scan(stiffness)
+
+
+def _offending_by_scan(stiffness, slack=1e-13):
+    """Positive off-diagonal entries, worst first with ties in row-major
+    order, at most 10."""
+    a = stiffness.toarray()
+    bad = [(i, j, float(a[i, j])) for i in range(a.shape[0])
+           for j in range(a.shape[1]) if i != j and a[i, j] > slack]
+    bad.sort(key=lambda e: -e[2])
+    return tuple(bad[:10])
 
 
 class TestNorms:

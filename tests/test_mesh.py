@@ -64,6 +64,17 @@ class TestMakeMesh:
         with pytest.raises(GeometryError):
             make_mesh(verts, np.array([[0, 1, 2, 3]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                         dtype=float)
+        verts[2, 1] = bad
+        with pytest.raises(GeometryError):
+            make_mesh(verts, np.array([[0, 1, 2, 3]]))
+        text = f"tetmesh 4 1\n0 0 0\n1 0 0\n0 {bad!r} 0\n0 0 1\n0 1 2 3\n"
+        with pytest.raises(GeometryError):
+            load_mesh(text)
+
     def test_orientation_fix(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
                          dtype=float)
