@@ -132,8 +132,15 @@ def apply_Ph(mass: CsrMatrix, beta: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def nodal_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Nodal interpolant of u x w."""
-    return np.cross(u, w)
+    """Nodal interpolant of u x w; the products and differences of np.cross,
+    so bitwise equal to it, without its axis handling."""
+    out = np.empty(np.broadcast_shapes(u.shape, w.shape))
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    np.subtract(u1 * w2, u2 * w1, out=out[..., 0])
+    np.subtract(u2 * w0, u0 * w2, out=out[..., 1])
+    np.subtract(u0 * w1, u1 * w0, out=out[..., 2])
+    return out
 
 
 def nodal_project_sphere(u: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LlgpcError, SolverFailure
-from .fem import Assemblies, build_assemblies, grad_sq, norms
+from .errors import (ConfigError, InvalidParameterError, LlgpcError,
+                     SolverFailure)
+from .fem import UNIT_TOL, Assemblies, build_assemblies, grad_sq, norms
 from .llg import (EffectiveField, IntegratorConfig, SimState, energy, step)
 from .mesh import Mesh, build_cube_mesh
 
@@ -126,14 +127,14 @@ def _mean_m(asm: Assemblies, m: np.ndarray) -> np.ndarray:
     return asm.beta @ m / asm.volume
 
 
-def _row(asm, cfg: RunConfig, state: SimState, t0: float) -> TraceRow:
+def _row(asm, cfg: RunConfig, state: SimState, t0: float,
+         gsq: float) -> TraceRow:
     m = state.m_curr
-    gsq = grad_sq(asm.stiffness, m)
     mean = _mean_m(asm, m)
     unit_err = float(np.abs(np.linalg.norm(m, axis=1) - 1.0).max())
     return TraceRow(ell=state.ell, t=state.ell * cfg.integrator.k,
                     energy=energy(asm, cfg.field, m,
-                                  state.ell * cfg.integrator.k),
+                                  state.ell * cfg.integrator.k, gsq=gsq),
                     grad_sq=gsq, mean_mx=float(mean[0]),
                     mean_my=float(mean[1]), mean_mz=float(mean[2]),
                     max_unit_err=unit_err,
@@ -149,13 +150,19 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
 
     Relax mode stops once ||grad m||^2 <= 1e-8.  With stability monitoring
     on, any increase of ||grad m||^2 aborts the run with status 'unstable'.
-    Solver failures terminate the run with the partial trace intact.
+    Solver failures terminate the run with the partial trace intact.  An
+    m0 that is not a finite unit field is rejected before any step.
     """
     k = cfg.integrator.k
     t0 = time.perf_counter()
     state = SimState(ell=0, m_curr=np.array(m0, dtype=np.float64))
-    trace = [_row(asm, cfg, state, t0)]
-    gsq_prev = trace[0].grad_sq
+    mods = np.linalg.norm(state.m_curr, axis=1)
+    z = int(np.argmax(np.abs(mods - 1.0)))  # worst node; the first NaN if any
+    if not abs(mods[z] - 1.0) <= UNIT_TOL:  # also true for NaN and inf
+        raise InvalidParameterError(
+            f"m0 must be a unit field: |m0({z})| = {float(mods[z])!r}")
+    gsq_prev = grad_sq(asm.stiffness, state.m_curr)
+    trace = [_row(asm, cfg, state, t0, gsq_prev)]
     snap_steps = {}
     for ts in snapshot_times:
         j = int(round(ts / k))
@@ -182,22 +189,17 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
         if state.ell in snap_steps:
             snapshots[snap_steps[state.ell]] = state.m_curr.copy()
         record = state.ell % cfg.stride == 0 or state.ell == cfg.n_steps
-        gsq = grad_sq(asm.stiffness, state.m_curr)
         if record or cfg.relax or cfg.monitor_stability:
-            row = _row(asm, cfg, state, t0)
-            if record:
-                trace.append(row)
-            if cfg.monitor_stability and gsq > gsq_prev:
-                if not record:
-                    trace.append(row)
-                return RunResult(state=state, trace=trace, status="unstable",
+            gsq = grad_sq(asm.stiffness, state.m_curr)
+            status = ("unstable" if cfg.monitor_stability and gsq > gsq_prev
+                      else "relaxed" if cfg.relax and gsq <= RELAX_GRAD_SQ_TOL
+                      else None)
+            if record or status:
+                trace.append(_row(asm, cfg, state, t0, gsq))
+            if status:
+                return RunResult(state=state, trace=trace, status=status,
                                  snapshots=snapshots)
-            if cfg.relax and gsq <= RELAX_GRAD_SQ_TOL:
-                if not record:
-                    trace.append(row)
-                return RunResult(state=state, trace=trace, status="relaxed",
-                                 snapshots=snapshots)
-        gsq_prev = gsq
+            gsq_prev = gsq
     return RunResult(state=state, trace=trace, status="completed",
                      snapshots=snapshots)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import FixedPointDivergenceError, InvalidParameterError
 from .fem import (Assemblies, UNIT_TOL, apply_Ph, discrete_laplacian,
-                  inner_l2, is_unit, nodal_project_sphere)
+                  grad_sq, inner_l2, is_unit, nodal_cross,
+                  nodal_project_sphere)
 from .linalg import gmres
 
 SCHEMES = ("PC1", "PC1_IMEX", "PC1_PROJFREE", "PC2", "PC2_IMEX")
@@ -125,10 +126,12 @@ def lower_field(asm: Assemblies, field_cfg: EffectiveField, pi_of: np.ndarray,
 
 
 def energy(asm: Assemblies, field_cfg: EffectiveField, m: np.ndarray,
-           t: float = 0.0) -> float:
-    """Gibbs free energy: exchange - anisotropy - Zeeman contributions."""
-    from .fem import grad_sq
-    e = 0.5 * field_cfg.ell_ex ** 2 * grad_sq(asm.stiffness, m)
+           t: float = 0.0, gsq: Optional[float] = None) -> float:
+    """Gibbs free energy: exchange - anisotropy - Zeeman contributions;
+    gsq is ||grad m||^2 if the caller has it."""
+    if gsq is None:
+        gsq = grad_sq(asm.stiffness, m)
+    e = 0.5 * field_cfg.ell_ex ** 2 * gsq
     if field_cfg.uniaxial is not None:
         e -= 0.5 * inner_l2(asm.mass, apply_pi(field_cfg, m), m)
     f = field_cfg.f_at(t)
@@ -172,20 +175,28 @@ class TangencyRecorder:
 
 def _cross_damped(m, h, alpha):
     """m x h + alpha m x (m x h)."""
-    t = np.cross(m, h)
-    return t + alpha * np.cross(m, t)
+    t = nodal_cross(m, h)
+    return t + alpha * nodal_cross(m, t)
+
+
+def exchange_field(asm: Assemblies, field_cfg: EffectiveField,
+                   m: np.ndarray) -> np.ndarray:
+    """ell_ex^2 Lap_h m."""
+    return field_cfg.ell_ex ** 2 * discrete_laplacian(asm.stiffness, asm.beta, m)
 
 
 def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveField,
-                   asm: Assemblies, h_lower: Optional[np.ndarray] = None):
-    """Solve the 3N predictor system with GMRES; returns (v, iterations)."""
+                   asm: Assemblies, h_lower: Optional[np.ndarray] = None,
+                   h_ex: Optional[np.ndarray] = None):
+    """Solve the 3N predictor system with GMRES; returns (v, iterations).
+    h_ex is exchange_field(asm, field_cfg, m) if the caller has it."""
     n = asm.n
     a = cfg.alpha
     c_ex = field_cfg.ell_ex ** 2 * cfg.theta * cfg.k
     st = asm.stiffness
     beta = asm.beta
 
-    h0 = field_cfg.ell_ex ** 2 * discrete_laplacian(st, beta, m)
+    h0 = exchange_field(asm, field_cfg, m) if h_ex is None else h_ex
     if h_lower is not None:
         h0 = h0 + h_lower
     rhs = -_cross_damped(m, h0, a)
@@ -220,7 +231,7 @@ def tangent_basis(u: np.ndarray):
     e[np.arange(uu.shape[0]), axis] = 1.0
     t1 = e - np.einsum("ij,ij->i", e, uu)[:, None] * uu
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(uu, t1)
+    t2 = nodal_cross(uu, t1)
     if single:
         return t1[0], t2[0]
     return t1, t2
@@ -254,8 +265,8 @@ def predictor_tangent(m: np.ndarray, cfg: IntegratorConfig,
         return np.column_stack([np.einsum("ij,ij->i", w, t1),
                                 np.einsum("ij,ij->i", w, t2)]).reshape(-1)
 
-    mxt1 = np.cross(m, t1)
-    mxt2 = np.cross(m, t2)
+    mxt1 = nodal_cross(m, t1)
+    mxt2 = nodal_cross(m, t2)
 
     def apply(c):
         v = lift(c)
@@ -267,7 +278,7 @@ def predictor_tangent(m: np.ndarray, cfg: IntegratorConfig,
         w = a * v + mxv - c_ex * lap
         return project(w)
 
-    h0 = field_cfg.ell_ex ** 2 * discrete_laplacian(st, beta, m)
+    h0 = exchange_field(asm, field_cfg, m)
     if h_lower is not None:
         h0 = h0 + h_lower
     rhs = project(h0)
@@ -295,13 +306,14 @@ def predictor_fully_implicit(m: np.ndarray, cfg: IntegratorConfig,
         h_lower = None if f is None else np.broadcast_to(f, m.shape).copy()
         return predictor_full(m, cfg, field_cfg, asm, h_lower=h_lower)
 
+    h_ex = exchange_field(asm, field_cfg, m)  # m is fixed inside the loop
     v = np.zeros_like(m)
     total_iters = 0
     increment = np.inf
     for _ in range(MAX_FIXPOINT_ITERATIONS):
         arg = m + cfg.theta * cfg.k * v
         h_lower = lower_field(asm, field_cfg, apply_pi(field_cfg, arg), t_eval)
-        v_new, iters = predictor_full(m, cfg, field_cfg, asm, h_lower=h_lower)
+        v_new, iters = predictor_full(m, cfg, field_cfg, asm, h_lower, h_ex)
         total_iters += iters
         d = v_new - v
         increment = np.sqrt(max(inner_l2(asm.mass, d, d), 0.0))
@@ -330,15 +342,15 @@ def corrector_pc2(m: np.ndarray, v: np.ndarray, cfg: IntegratorConfig,
     """
     a2 = 1.0 + cfg.alpha ** 2
     u = m + 0.5 * cfg.k * v
-    f_mid = field_cfg.ell_ex ** 2 * discrete_laplacian(asm.stiffness, asm.beta, u)
+    f_mid = exchange_field(asm, field_cfg, u)
     if field_cfg.has_lower_order:
         f_mid = f_mid + lower_field(asm, field_cfg, apply_pi(field_cfg, u),
                                     t + 0.5 * cfg.k)
-    c = 0.5 * cfg.k * (f_mid + cfg.alpha * np.cross(u, f_mid))
+    c = 0.5 * cfg.k * (f_mid + cfg.alpha * nodal_cross(u, f_mid))
     # (a I - [c]_x)^{-1} = (a^2 I + a [c]_x + c c^T) / (a (a^2 + |c|^2))
     csq = np.einsum("ij,ij->i", c, c)
     cm = np.einsum("ij,ij->i", c, m)
-    eta = (a2 * a2 * m + a2 * np.cross(c, m) + cm[:, None] * c)
+    eta = (a2 * a2 * m + a2 * nodal_cross(c, m) + cm[:, None] * c)
     eta /= (a2 * a2 + csq)[:, None]
     return 2.0 * eta - m
 

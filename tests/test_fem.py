@@ -168,6 +168,15 @@ class TestNodalOps:
         assert np.abs(nodal_cross(u, u)).max() <= 1e-16
         assert nodal_cross(u, w) == pytest.approx(-nodal_cross(w, u))
 
+    def test_cross_bitwise_equal_to_numpy(self):
+        rng = np.random.Generator(np.random.Philox(23))
+        u = rng.normal(size=(200, 3))
+        w = rng.normal(size=(200, 3))
+        assert nodal_cross(u, w).tobytes() == np.cross(u, w).tobytes()
+        # a single 3-vector against a field, as in the tangent-space code
+        assert nodal_cross(u[7], w).tobytes() == np.cross(u[7], w).tobytes()
+        assert nodal_cross(u, w[7]).tobytes() == np.cross(u, w[7]).tobytes()
+
     def test_project_simple(self):
         u = np.array([[1.0, 1.0, 0.0]])
         assert nodal_project_sphere(u)[0] == pytest.approx(

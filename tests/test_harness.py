@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from llgpc.errors import ConfigError
+from llgpc import fem, harness, llg
+from llgpc.errors import ConfigError, InvalidParameterError
 from llgpc.harness import (RunConfig, TRACE_COLUMNS, convergence_to_csv,
                            estimated_order, init_state, make_cube_assemblies,
                            run_convergence_study, run_simulation,
@@ -92,6 +93,42 @@ class TestRunSimulation:
             res = run_simulation(asm, cfg,
                                  init_state(asm.mesh, "random", seed=3))
             assert max(r.max_unit_err for r in res.trace) <= 1e-9
+
+    @pytest.mark.parametrize("bad", ["scaled", "nan", "inf"])
+    def test_non_unit_m0_rejected(self, bad):
+        asm = make_cube_assemblies(2)
+        m0 = init_state(asm.mesh, "random", seed=4)
+        if bad == "scaled":
+            m0 = 2.0 * m0
+        else:
+            m0[11] = float(bad)
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
+                        field=EffectiveField(), t_end=3e-3)
+        with pytest.raises(InvalidParameterError, match=r"\|m0\(") as exc:
+            run_simulation(asm, cfg, m0)
+        if bad != "scaled":
+            assert "m0(11)" in str(exc.value)
+
+    def test_grad_sq_once_per_trace_row(self, monkeypatch):
+        asm = make_cube_assemblies(2)
+        fld = EffectiveField(uniaxial=Uniaxial(1.0, E3),
+                             applied=np.array([-2.0, -0.5, 0.0]))
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_IMEX", k=1e-3),
+                        field=fld, t_end=5e-3, stride=5)
+        calls = []
+        inner = fem.grad_sq
+
+        def counting(stiffness, w):
+            calls.append(1)
+            return inner(stiffness, w)
+
+        for mod in (fem, harness, llg):
+            monkeypatch.setattr(mod, "grad_sq", counting, raising=False)
+        res = run_simulation(asm, cfg, init_state(asm.mesh, "random", seed=4))
+        assert [row.ell for row in res.trace] == [0, 5]
+        assert len(calls) == 2
+        last = res.trace[-1]
+        assert last.energy == llg.energy(asm, fld, res.state.m_curr, last.t)
 
     def test_t_end_must_be_multiple_of_k(self):
         with pytest.raises(ConfigError):

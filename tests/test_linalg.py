@@ -75,6 +75,31 @@ class TestSpmv:
         with pytest.raises(InvalidParameterError):
             spmv(a, np.ones(4))
 
+    @pytest.mark.parametrize("matrix", ["stiffness", "mass", "empty_row"])
+    def test_bitwise_equal_to_stored_order_loop(self, cube2_asm, matrix):
+        if matrix == "empty_row":
+            a = CsrMatrix(indptr=np.array([0, 2, 2, 4]),
+                          indices=np.array([0, 2, 0, 1]),
+                          data=np.array([0.1, 0.7, -0.3, 1.9]),
+                          n_rows=3, n_cols=3)
+        else:
+            a = getattr(cube2_asm, matrix)
+        rng = np.random.Generator(np.random.Philox(5))
+        x = rng.normal(size=(a.n_cols, 3))
+
+        def loop(xc):
+            y = np.empty(a.n_rows)
+            for i in range(a.n_rows):
+                acc = 0.0
+                for p in range(a.indptr[i], a.indptr[i + 1]):
+                    acc += a.data[p] * xc[a.indices[p]]
+                y[i] = acc
+            return y
+
+        expected = np.column_stack([loop(x[:, c]) for c in range(3)])
+        assert spmv(a, x).tobytes() == expected.tobytes()
+        assert spmv(a, x[:, 1]).tobytes() == expected[:, 1].tobytes()
+
 
 class TestGmres:
     def test_identity_one_iteration(self):
@@ -126,6 +151,32 @@ class TestGmres:
         assert err.best_x is not None
         assert np.isfinite(err.residual)
         assert err.iterations == 2
+
+    def test_nan_rhs_fails_before_any_application(self):
+        calls = []
+
+        def identity(x):
+            calls.append(1)
+            return x
+
+        with pytest.raises(NoConvergenceError) as exc:
+            gmres(identity, np.array([1.0, np.nan, 3.0]))
+        assert calls == []
+        assert exc.value.iterations == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_fails_after_one_application(self, bad):
+        calls = []
+
+        def broken(x):
+            calls.append(1)
+            return np.full_like(x, bad)
+
+        with pytest.raises(NoConvergenceError) as exc:
+            gmres(broken, np.ones(50))
+        assert len(calls) == 1
+        assert exc.value.iterations == 1
 
     def test_invalid_rtol(self):
         with pytest.raises(InvalidParameterError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from llgpc.errors import InvalidParameterError
+from llgpc import llg
+from llgpc.errors import InvalidParameterError, NoConvergenceError
 from llgpc.fem import discrete_laplacian, grad_sq, inner_h, inner_l2
 from llgpc.llg import (EffectiveField, IntegratorConfig, SimState,
                        TangencyRecorder, Uniaxial, apply_pi, corrector_pc2,
@@ -263,6 +264,40 @@ class TestStep:
             g = grad_sq(cube4_asm.stiffness, state.m_curr)
             assert g <= g_prev + 1e-10
             g_prev = g
+
+    def test_pc2_step_takes_exchange_field_of_m_once(self, cube2_asm,
+                                                     monkeypatch):
+        # m is fixed in the fixed-point loop, so Lap_h m is needed once
+        fld = EffectiveField(uniaxial=Uniaxial(1.0, E3))
+        m = random_unit_field(cube2_asm.n, 84)
+        laplacians_of_m, solves = [], []
+        lap, full = llg.discrete_laplacian, llg.predictor_full
+
+        def counting_lap(stiffness, beta, w):
+            if np.array_equal(w, m):
+                laplacians_of_m.append(1)
+            return lap(stiffness, beta, w)
+
+        def counting_full(*args, **kwargs):
+            solves.append(1)
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(llg, "discrete_laplacian", counting_lap)
+        monkeypatch.setattr(llg, "predictor_full", counting_full)
+        step(SimState(ell=0, m_curr=m.copy()),
+             IntegratorConfig(scheme="PC2", k=1e-2), fld, cube2_asm)
+        assert len(solves) >= 3
+        assert len(laplacians_of_m) == 1
+
+    def test_non_finite_state_fails_fast(self, cube2_asm):
+        m = random_unit_field(cube2_asm.n, 85)
+        m[13] = np.nan
+        with pytest.raises(NoConvergenceError) as exc:
+            step(SimState(ell=0, m_curr=m),
+                 IntegratorConfig(scheme="PC1_IMEX", k=1e-3),
+                 EffectiveField(), cube2_asm)
+        # the whole budget would be 10 * 3N = 810 iterations
+        assert exc.value.iterations <= 1
 
     def test_step_index_advances_and_rotates(self, cube2_asm):
         m = random_unit_field(cube2_asm.n, 83)
