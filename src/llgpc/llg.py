@@ -36,12 +36,21 @@ class Uniaxial:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=np.float64)
-        if self.c < 0:
-            raise InvalidParameterError("anisotropy constant must be >= 0")
+        if not (np.isfinite(self.c) and self.c >= 0):
+            raise InvalidParameterError(
+                "anisotropy constant must be finite and >= 0")
         n = np.linalg.norm(axis)
         if not np.isclose(n, 1.0, atol=1e-12):
             raise InvalidParameterError("anisotropy axis must be unit length")
         object.__setattr__(self, "axis", axis)
+
+
+def _field_vector(f, what: str) -> np.ndarray:
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (3,) or not np.all(np.isfinite(f)):
+        raise InvalidParameterError(
+            f"{what} must be a finite 3-vector, got {f.tolist()}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -53,17 +62,18 @@ class EffectiveField:
     applied: Optional[object] = None  # constant 3-vector or callable t -> 3-vector
 
     def __post_init__(self):
-        if self.ell_ex <= 0:
-            raise InvalidParameterError("exchange length must be positive")
+        if not (np.isfinite(self.ell_ex) and self.ell_ex > 0):
+            raise InvalidParameterError(
+                "exchange length must be finite and positive")
         if self.applied is not None and not callable(self.applied):
             object.__setattr__(self, "applied",
-                               np.asarray(self.applied, dtype=np.float64))
+                               _field_vector(self.applied, "applied field"))
 
     def f_at(self, t: float) -> Optional[np.ndarray]:
         if self.applied is None:
             return None
         if callable(self.applied):
-            return np.asarray(self.applied(t), dtype=np.float64)
+            return _field_vector(self.applied(t), f"applied field at t={t}")
         return self.applied
 
     @property

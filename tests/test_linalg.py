@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from llgpc.errors import InvalidParameterError, NoConvergenceError
 from llgpc.linalg import CsrMatrix, gmres, spmv
@@ -8,6 +11,55 @@ from llgpc.linalg import CsrMatrix, gmres, spmv
 def dense_to_csr(a):
     rows, cols = np.nonzero(a)
     return CsrMatrix.from_coo(rows, cols, a[rows, cols], shape=a.shape)
+
+
+def stored_order_loop(a, xc):
+    """Reference product: each row summed from 0.0 in stored order."""
+    y = np.empty(a.n_rows)
+    for i in range(a.n_rows):
+        acc = 0.0
+        for p in range(a.indptr[i], a.indptr[i + 1]):
+            acc += a.data[p] * xc[a.indices[p]]
+        y[i] = acc
+    return y
+
+
+def named_matrix(name, asm):
+    if name == "empty_row":
+        return CsrMatrix(indptr=np.array([0, 2, 2, 4]),
+                         indices=np.array([0, 2, 0, 1]),
+                         data=np.array([0.1, 0.7, -0.3, 1.9]),
+                         n_rows=3, n_cols=3)
+    if name == "one_row":
+        # numpy sums 8 or more terms pairwise along its fast axis
+        rng = np.random.Generator(np.random.Philox(7))
+        return CsrMatrix.from_coo(np.zeros(24), np.arange(24),
+                                  rng.normal(size=24), shape=(1, 24))
+    if name == "long_row":
+        # a dense first row over 40 columns, far longer than twice the mean
+        # row length; the nine other rows hold 1-3 entries each
+        rng = np.random.Generator(np.random.Philox(6))
+        rows, cols = [0] * 40, list(range(40))
+        for r in range(1, 10):
+            picked = np.sort(rng.choice(40, size=1 + r % 3, replace=False))
+            rows += [r] * picked.size
+            cols += picked.tolist()
+        return CsrMatrix.from_coo(rows, cols, rng.normal(size=len(rows)),
+                                  shape=(10, 40))
+    return getattr(asm, name)
+
+
+@st.composite
+def coo_triplets(draw):
+    """Random triplets on a small shape, so duplicates and empty rows are
+    common; one-row and rectangular shapes included."""
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 40))
+    rows = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n_rows - 1)))
+    cols = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n_cols - 1)))
+    vals = draw(hnp.arrays(np.float64, k, elements=st.floats(-1e3, 1e3)))
+    return rows, cols, vals, (n_rows, n_cols)
 
 
 class TestCsrMatrix:
@@ -75,30 +127,64 @@ class TestSpmv:
         with pytest.raises(InvalidParameterError):
             spmv(a, np.ones(4))
 
-    @pytest.mark.parametrize("matrix", ["stiffness", "mass", "empty_row"])
+    def test_sum_starts_from_positive_zero(self):
+        # as in the loop, 0.0 + (-0.0) leaves a row of -0.0 products at +0.0
+        y = spmv(dense_to_csr(np.eye(3)), np.full((3, 3), -0.0))
+        assert not np.any(np.signbit(y))
+
+    def test_scalar_operand_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            spmv(dense_to_csr(np.eye(3)), 3.0)
+
+    @pytest.mark.parametrize("matrix", ["stiffness", "mass", "empty_row",
+                                        "one_row", "long_row"])
     def test_bitwise_equal_to_stored_order_loop(self, cube2_asm, matrix):
-        if matrix == "empty_row":
-            a = CsrMatrix(indptr=np.array([0, 2, 2, 4]),
-                          indices=np.array([0, 2, 0, 1]),
-                          data=np.array([0.1, 0.7, -0.3, 1.9]),
-                          n_rows=3, n_cols=3)
-        else:
-            a = getattr(cube2_asm, matrix)
+        a = named_matrix(matrix, cube2_asm)
         rng = np.random.Generator(np.random.Philox(5))
         x = rng.normal(size=(a.n_cols, 3))
-
-        def loop(xc):
-            y = np.empty(a.n_rows)
-            for i in range(a.n_rows):
-                acc = 0.0
-                for p in range(a.indptr[i], a.indptr[i + 1]):
-                    acc += a.data[p] * xc[a.indices[p]]
-                y[i] = acc
-            return y
-
-        expected = np.column_stack([loop(x[:, c]) for c in range(3)])
+        expected = np.column_stack([stored_order_loop(a, x[:, c])
+                                    for c in range(3)])
         assert spmv(a, x).tobytes() == expected.tobytes()
         assert spmv(a, x[:, 1]).tobytes() == expected[:, 1].tobytes()
+        # the padded block never holds more than twice the stored entries
+        assert a._ell[0].size <= 2 * a.nnz
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("matrix", ["stiffness", "long_row"])
+    def test_inf_operand_reaches_only_rows_that_read_it(self, cube2_asm,
+                                                        matrix):
+        a = named_matrix(matrix, cube2_asm)
+        rng = np.random.Generator(np.random.Philox(8))
+        for col in range(a.n_cols):
+            x = rng.normal(size=a.n_cols)
+            x[col] = np.inf
+            y = spmv(a, x)
+            clean = ~np.isin(np.arange(a.n_rows), a.rows[a.indices == col])
+            assert np.all(np.isfinite(y[clean]))
+            np.testing.assert_array_equal(y, stored_order_loop(a, x))
+
+
+class TestCsrProperties:
+    @settings(deadline=None)
+    @given(coo_triplets())
+    def test_from_coo_equals_dense_accumulation(self, triplets):
+        rows, cols, vals, shape = triplets
+        dense = np.zeros(shape)
+        np.add.at(dense, (rows, cols), vals)
+        assert np.array_equal(
+            CsrMatrix.from_coo(rows, cols, vals, shape).toarray(), dense)
+
+    @settings(deadline=None)
+    @given(coo_triplets(), st.data())
+    def test_spmv_bitwise_equal_to_stored_order_loop(self, triplets, data):
+        rows, cols, vals, shape = triplets
+        a = CsrMatrix.from_coo(rows, cols, vals, shape)
+        x = data.draw(hnp.arrays(np.float64, (a.n_cols, 3),
+                                 elements=st.floats(-1e3, 1e3)))
+        expected = np.column_stack([stored_order_loop(a, x[:, c])
+                                    for c in range(3)])
+        assert spmv(a, x).tobytes() == expected.tobytes()
+        assert spmv(a, x[:, 0]).tobytes() == expected[:, 0].tobytes()
 
 
 class TestGmres:

@@ -30,6 +30,16 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(scheme="PC1", k=kw.pop("k", 1e-3), **kw)
 
+    @pytest.mark.parametrize("make", [
+        lambda: EffectiveField(ell_ex=np.nan),
+        lambda: EffectiveField(ell_ex=np.inf),
+        lambda: Uniaxial(np.nan, E3),
+        lambda: Uniaxial(np.inf, E3),
+    ], ids=["ell_ex_nan", "ell_ex_inf", "uniaxial_c_nan", "uniaxial_c_inf"])
+    def test_bad_field_constants(self, make):
+        with pytest.raises(InvalidParameterError):
+            make()
+
     def test_uniaxial_axis_must_be_unit(self):
         with pytest.raises(InvalidParameterError):
             Uniaxial(1.0, np.array([1.0, 1.0, 0.0]))
@@ -37,6 +47,20 @@ class TestConfigs:
     def test_applied_field_callable(self):
         f = EffectiveField(applied=lambda t: np.array([t, 0.0, 0.0]))
         assert f.f_at(2.0) == pytest.approx([2.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("applied", [[np.nan, 0.0, 0.0],
+                                         [0.0, np.inf, 0.0], [1.0, 0.0]],
+                             ids=["nan", "inf", "shape2"])
+    def test_bad_constant_applied_field(self, applied):
+        with pytest.raises(InvalidParameterError):
+            EffectiveField(applied=np.array(applied))
+
+    @pytest.mark.parametrize("value", [[np.nan, 0.0, 0.0], [1.0, 0.0]],
+                             ids=["nan", "shape2"])
+    def test_bad_callable_applied_field(self, value):
+        f = EffectiveField(applied=lambda t: np.array(value))
+        with pytest.raises(InvalidParameterError):
+            f.f_at(0.0)
 
 
 class TestApplyPi:
