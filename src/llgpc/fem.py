@@ -11,22 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, InvalidParameterError, ProjectionDegenerateError
-from .linalg import CsrMatrix, spmv
-from .mesh import Mesh, tet_volumes
+from .linalg import CsrMatrix, coo_pattern, spmv
+from .mesh import Mesh
 
 UNIT_TOL = 1e-9
 PROJECTION_DELTA_MIN = 1e-12
-
-
-def lumped_mass(mesh: Mesh) -> np.ndarray:
-    """beta_z = sum over incident tets of (volume / 4)."""
-    vols = tet_volumes(mesh.vertices, mesh.tets)
-    if np.any(vols <= 0):
-        raise GeometryError("mesh contains a non-positive-volume tet")
-    beta = np.bincount(mesh.tets.ravel(),
-                       weights=np.repeat(vols / 4.0, 4),
-                       minlength=mesh.n_vertices)
-    return beta
 
 
 def _p1_gradients(mesh: Mesh):
@@ -41,31 +30,6 @@ def _p1_gradients(mesh: Mesh):
     grads[:, 1:, :] = np.transpose(inv_t, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     return grads, vols
-
-
-def assemble_stiffness(mesh: Mesh) -> CsrMatrix:
-    """A_{z,z'} = <grad phi_{z'}, grad phi_z>; symmetric, zero row sums."""
-    grads, vols = _p1_gradients(mesh)
-    ke = np.einsum("tic,tjc,t->tij", grads, grads, vols)
-    return _scatter(mesh, ke)
-
-
-def assemble_consistent_mass(mesh: Mesh) -> CsrMatrix:
-    """M_{z,z'} = <phi_{z'}, phi_z>; element matrix V/20 * (1 + delta_ij)."""
-    vols = tet_volumes(mesh.vertices, mesh.tets)
-    if np.any(vols <= 0):
-        raise GeometryError("mesh contains a non-positive-volume tet")
-    base = (np.ones((4, 4)) + np.eye(4)) / 20.0
-    ke = vols[:, None, None] * base
-    return _scatter(mesh, ke)
-
-
-def _scatter(mesh: Mesh, ke: np.ndarray) -> CsrMatrix:
-    t = mesh.n_tets
-    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
-    cols = np.tile(mesh.tets, (1, 4)).ravel()
-    return CsrMatrix.from_coo(rows, cols, ke.reshape(t * 16),
-                              shape=(mesh.n_vertices, mesh.n_vertices))
 
 
 @dataclass(frozen=True)
@@ -87,8 +51,30 @@ class Assemblies:
 
 
 def build_assemblies(mesh: Mesh) -> Assemblies:
-    return Assemblies(mesh=mesh, stiffness=assemble_stiffness(mesh),
-                      mass=assemble_consistent_mass(mesh), beta=lumped_mass(mesh))
+    """Stiffness, consistent mass and lumped weights from one geometry pass.
+
+    - A_{z,z'} = <grad phi_{z'}, grad phi_z>: symmetric, zero row sums.
+    - M_{z,z'} = <phi_{z'}, phi_z>: element matrix V/20 * (1 + delta_ij).
+    - beta_z = sum over incident tets of V/4.
+    A and M share one sparsity pattern, built once from the tet triplets;
+    each sums its triplets per entry from 0.0 in tet order.
+    """
+    n, tets = mesh.n_vertices, mesh.tets
+    indptr, indices, entry = coo_pattern(np.repeat(tets, 4, axis=1).ravel(),
+                                         np.tile(tets, (1, 4)).ravel(), (n, n))
+    grads, vols = _p1_gradients(mesh)  # after the pattern: lower peak memory
+
+    def csr(ke):
+        data = np.bincount(entry, weights=ke.reshape(-1),
+                           minlength=indices.shape[0])
+        return CsrMatrix(indptr=indptr, indices=indices, data=data,
+                         n_rows=n, n_cols=n)
+
+    stiffness = csr(np.einsum("tic,tjc,t->tij", grads, grads, vols))
+    mass = csr(vols[:, None, None] * ((np.ones((4, 4)) + np.eye(4)) / 20.0))
+    beta = np.bincount(tets.ravel(), weights=np.repeat(vols / 4.0, 4),
+                       minlength=n)
+    return Assemblies(mesh=mesh, stiffness=stiffness, mass=mass, beta=beta)
 
 
 def _check_match(beta, *fields):

@@ -116,7 +116,7 @@ class RunResult:
     trace: List[TraceRow]
     status: str  # "completed" | "relaxed" | "unstable" | "failed"
     error: Optional[LlgpcError] = None
-    snapshots: dict = field(default_factory=dict)
+    snapshots: dict = field(default_factory=dict)  # step index -> field
 
 
 def _mean_m(asm: Assemblies, m: np.ndarray) -> np.ndarray:
@@ -151,7 +151,8 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
     Relax mode stops once ||grad m||^2 <= 1e-8.  With stability monitoring
     on, any increase of ||grad m||^2 aborts the run with status 'unstable'.
     Solver failures terminate the run with the partial trace intact.  An
-    m0 that is not a finite unit field is rejected before any step.
+    m0 that is not a finite unit field is rejected before any step.  The
+    state at each snapshot time j*k is kept under its step index j.
     """
     k = cfg.integrator.k
     t0 = time.perf_counter()
@@ -163,15 +164,15 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
             f"m0 must be a unit field: |m0({z})| = {float(mods[z])!r}")
     gsq_prev = grad_sq(asm.stiffness, state.m_curr)
     trace = [_row(asm, cfg, state, t0, gsq_prev)]
-    snap_steps = {}
+    snap_steps = set()
     for ts in snapshot_times:
         j = int(round(ts / k))
         if abs(j * k - ts) > 1e-9 * max(abs(ts), 1.0):
             raise ConfigError(f"snapshot time {ts} is not a multiple of k")
-        snap_steps[j] = ts
+        snap_steps.add(j)
     snapshots = {}
     if 0 in snap_steps:
-        snapshots[snap_steps[0]] = state.m_curr.copy()
+        snapshots[0] = state.m_curr.copy()
 
     if cfg.relax and gsq_prev <= RELAX_GRAD_SQ_TOL:
         return RunResult(state=state, trace=trace, status="relaxed",
@@ -187,7 +188,7 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
         if on_step is not None:
             on_step(state)
         if state.ell in snap_steps:
-            snapshots[snap_steps[state.ell]] = state.m_curr.copy()
+            snapshots[state.ell] = state.m_curr.copy()
         record = state.ell % cfg.stride == 0 or state.ell == cfg.n_steps
         if record or cfg.relax or cfg.monitor_stability:
             gsq = grad_sq(asm.stiffness, state.m_curr)
@@ -254,16 +255,16 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
                 f"k={k} is not an integer multiple of k_ref={k_ref}"
             )
 
-    # sample times: nodes of the coarsest run cover every coarser grid,
-    # but different ks have different node sets; collect the union
-    sample_times = sorted({round(j * k / k_ref) * k_ref
-                           for k in ks for j in range(int(round(t_end / k)) + 1)})
+    # reference steps: the union of every study run's time nodes
+    ref_steps = sorted({j * round(k / k_ref)
+                        for k in ks for j in range(int(round(t_end / k)) + 1)})
 
     ref_cfg = RunConfig(
         integrator=IntegratorConfig(scheme="PC2", k=k_ref, theta=theta,
                                     alpha=alpha, lin_tol=lin_tol),
         field=field_cfg, t_end=t_end, stride=max(int(round(t_end / k_ref)), 1))
-    ref = run_simulation(asm, ref_cfg, m0, snapshot_times=sample_times)
+    ref = run_simulation(asm, ref_cfg, m0,
+                         snapshot_times=[j * k_ref for j in ref_steps])
     if ref.status == "failed":
         raise SolverFailure(0, ref.error)
 
@@ -272,19 +273,20 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
         t_start = time.perf_counter()
         errors = []
         for k in ks:
-            times = [j * k for j in range(int(round(t_end / k)) + 1)]
+            ratio = round(k / k_ref)
+            steps = range(int(round(t_end / k)) + 1)
             cfg = RunConfig(
                 integrator=IntegratorConfig(scheme=scheme, k=k, theta=theta,
                                             alpha=alpha, lin_tol=lin_tol),
                 field=field_cfg, t_end=t_end,
                 stride=max(int(round(t_end / k)), 1))
-            res = run_simulation(asm, cfg, m0, snapshot_times=times)
+            res = run_simulation(asm, cfg, m0,
+                                 snapshot_times=[j * k for j in steps])
             if res.status == "failed":
                 raise SolverFailure(0, res.error)
             err = 0.0
-            for ts in times:
-                key = round(ts / k_ref) * k_ref
-                diff = res.snapshots[ts] - ref.snapshots[key]
+            for j in steps:
+                diff = res.snapshots[j] - ref.snapshots[j * ratio]
                 err = max(err, norms(asm.mass, asm.stiffness, diff).h1)
             errors.append(err)
         results.append(ConvergenceResult(

@@ -65,31 +65,16 @@ class CsrMatrix:
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
-        """Build from triplets; duplicate entries are summed."""
-        n_rows, n_cols = shape
+        """Build from triplets; each stored entry sums its triplets from 0.0
+        in triplet order."""
         rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            # collapse duplicates deterministically (sorted order)
-            new_entry = np.empty(rows.size, dtype=bool)
-            new_entry[0] = True
-            new_entry[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(new_entry) - 1
-            rows_u = rows[new_entry]
-            cols_u = cols[new_entry]
-            vals_u = np.bincount(group, weights=vals)
-        else:
-            rows_u = rows
-            cols_u = cols
-            vals_u = vals
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows_u + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr=indptr, indices=cols_u, data=vals_u,
-                   n_rows=n_rows, n_cols=n_cols)
+        if vals.shape != rows.shape:
+            raise InvalidParameterError("rows and vals differ in length")
+        indptr, indices, entry = coo_pattern(rows, cols, shape)
+        data = np.bincount(entry, weights=vals, minlength=indices.shape[0])
+        return cls(indptr=indptr, indices=indices, data=data,
+                   n_rows=shape[0], n_cols=shape[1])
 
     @property
     def rows(self) -> np.ndarray:
@@ -105,6 +90,40 @@ class CsrMatrix:
         out = np.zeros((self.n_rows, self.n_cols))
         out[self.rows, self.indices] = self.data
         return out
+
+
+def coo_pattern(rows, cols, shape):
+    """CSR pattern of COO triplets: (indptr, indices, entry).
+
+    Triplet p adds to stored entry entry[p]; `np.bincount(entry, weights=
+    vals, minlength=nnz)` then sums each entry's triplets from 0.0 in
+    triplet order.  Indices are checked before they are keyed, as
+    row * n_cols + col would alias an out-of-range column with a
+    neighbouring row.  One stable sort of the keys orders the pattern.
+    """
+    n_rows, n_cols = shape
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.ndim != 1 or cols.shape != rows.shape:
+        raise InvalidParameterError("rows and cols must be equal-length 1-d")
+    for what, idx, bound in (("row", rows, n_rows), ("column", cols, n_cols)):
+        if idx.size and (idx.min() < 0 or idx.max() >= bound):
+            raise InvalidParameterError(f"{what} index outside [0, {bound})")
+    key = rows * n_cols
+    key += cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new_entry = np.empty(key.size, dtype=bool)
+    new_entry[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new_entry[1:])
+    first = order[new_entry]
+    np.cumsum(new_entry, out=key)  # the sorted keys are no longer read
+    key -= 1
+    entry = np.empty_like(key)
+    entry[order] = key
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
+    return indptr, cols[first], entry
 
 
 def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:

@@ -1,36 +1,68 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from llgpc.errors import InvalidParameterError, ProjectionDegenerateError
 from llgpc.fem import (apply_Ph, build_assemblies, check_angle_condition,
                        discrete_laplacian, grad_sq, inner_h, inner_l2,
-                       lumped_mass, nodal_cross, nodal_project_sphere, norm_h,
-                       norms)
+                       nodal_cross, nodal_project_sphere, norm_h, norms)
 from llgpc.linalg import spmv
-from llgpc.mesh import build_cube_mesh, make_mesh
+from llgpc.mesh import build_cube_mesh, make_mesh, tet_volumes
 
 from conftest import random_unit_field
 
 
 class TestLumpedMass:
-    def test_reference_tet_beta(self, reference_tet):
-        beta = lumped_mass(reference_tet)
-        assert beta == pytest.approx(np.full(4, 1.0 / 24.0))
+    def test_reference_tet_beta(self, reference_tet_asm):
+        assert reference_tet_asm.beta == pytest.approx(np.full(4, 1.0 / 24.0))
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_beta_sums_to_volume(self, n):
-        beta = lumped_mass(build_cube_mesh(n, 1.0))
+        beta = build_assemblies(build_cube_mesh(n, 1.0)).beta
         assert abs(beta.sum() - 1.0) <= 1e-13
 
-    def test_center_vertex_n2(self):
-        mesh = build_cube_mesh(2, 1.0)
-        beta = lumped_mass(mesh)
+    def test_center_vertex_n2(self, cube2_asm):
+        mesh = cube2_asm.mesh
         center = int(np.argmin(np.linalg.norm(mesh.vertices, axis=1)))
         incident = [t for t in range(mesh.n_tets)
                     if center in mesh.tets[t]]
-        from llgpc.mesh import tet_volumes
         vols = tet_volumes(mesh.vertices, mesh.tets)
-        assert beta[center] == pytest.approx(vols[incident].sum() / 4.0)
+        assert cube2_asm.beta[center] == pytest.approx(
+            vols[incident].sum() / 4.0)
+
+
+def perturbed_cube3():
+    mesh = build_cube_mesh(3, 1.0)
+    rng = np.random.Generator(np.random.Philox(5))
+    shift = rng.uniform(-0.03, 0.03, mesh.vertices.shape)
+    return make_mesh(mesh.vertices + shift, mesh.tets)
+
+
+class TestAssembly:
+    def test_matrices_share_one_pattern(self):
+        asm = build_assemblies(perturbed_cube3())
+        assert np.array_equal(asm.stiffness.indptr, asm.mass.indptr)
+        assert np.array_equal(asm.stiffness.indices, asm.mass.indices)
+
+    def test_mass_equals_dense_accumulation_in_tet_order(self):
+        mesh = perturbed_cube3()
+        vols = tet_volumes(mesh.vertices, mesh.tets)
+        ke = vols[:, None, None] * ((np.ones((4, 4)) + np.eye(4)) / 20.0)
+        dense = np.zeros((mesh.n_vertices, mesh.n_vertices))
+        for t, tet in enumerate(mesh.tets):
+            np.add.at(dense, (tet[:, None], tet[None, :]), ke[t])
+        assert np.array_equal(build_assemblies(mesh).mass.toarray(), dense)
+
+    def test_peak_memory_n16(self):
+        mesh = build_cube_mesh(16, 1.0)
+        tracemalloc.start()
+        try:
+            build_assemblies(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20
 
 
 class TestStiffness:

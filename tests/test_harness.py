@@ -130,6 +130,20 @@ class TestRunSimulation:
         last = res.trace[-1]
         assert last.energy == llg.energy(asm, fld, res.state.m_curr, last.t)
 
+    def test_snapshots_keyed_by_step_index(self):
+        # 0.1 * 3 == 0.30000000000000004: a time key would miss 0.3
+        asm = make_cube_assemblies(1)
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_IMEX", k=0.1),
+                        field=EffectiveField(), t_end=0.5)
+        seen = {}
+        res = run_simulation(asm, cfg, init_state(asm.mesh, "random", seed=3),
+                             snapshot_times=[0.0, 0.3, 0.1 * 3],
+                             on_step=lambda s: seen.setdefault(s.ell,
+                                                               s.m_curr))
+        assert res.status == "completed"
+        assert sorted(res.snapshots) == [0, 3]
+        assert np.array_equal(res.snapshots[3], seen[3])
+
     def test_t_end_must_be_multiple_of_k(self):
         with pytest.raises(ConfigError):
             RunConfig(integrator=IntegratorConfig(scheme="PC1", k=3e-3),

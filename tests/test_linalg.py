@@ -83,6 +83,16 @@ class TestCsrMatrix:
                       indices=np.array(indices), data=np.ones(4),
                       n_rows=3, n_cols=3)
 
+    @pytest.mark.parametrize("rows, cols, vals", [
+        ([0], [0], [1.0, 2.0]),
+        ([0, 2], [0, 1], [1.0, 2.0]),
+        # keyed as row * n_cols + col, (1, -1) would alias (0, 1)
+        ([0, 1], [1, -1], [1.0, 2.0]),
+    ], ids=["lengths_differ", "row_out_of_range", "col_aliases_row"])
+    def test_from_coo_rejects_bad_triplets(self, rows, cols, vals):
+        with pytest.raises(InvalidParameterError):
+            CsrMatrix.from_coo(rows, cols, vals, shape=(2, 2))
+
     def test_empty_row_accepted(self):
         m = CsrMatrix(indptr=np.array([0, 2, 2, 4]),
                       indices=np.array([0, 2, 0, 1]),

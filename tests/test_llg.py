@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from llgpc import llg
 from llgpc.errors import InvalidParameterError, NoConvergenceError
@@ -227,6 +230,25 @@ class TestCorrectors:
         v, _ = predictor_full(m, cfg, fld, cube2_asm)
         out = corrector_pc2(m, v, cfg, fld, cube2_asm, 0.0)
         assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           v_scale=st.floats(1e-3, 1e3),
+           k=st.floats(1e-4, 1.0),
+           alpha=st.floats(0.0, 2.0),
+           c=st.floats(0.0, 5.0),
+           applied=hnp.arrays(np.float64, 3, elements=st.floats(-5.0, 5.0)))
+    def test_pc2_preserves_moduli_property(self, cube2_asm, seed, v_scale, k,
+                                           alpha, c, applied):
+        rng = np.random.Generator(np.random.Philox(seed))
+        m = random_unit_field(cube2_asm.n, seed)
+        v = v_scale * rng.normal(size=m.shape)
+        axis = rng.normal(size=3)
+        fld = EffectiveField(uniaxial=Uniaxial(c, axis / np.linalg.norm(axis)),
+                             applied=applied)
+        cfg = IntegratorConfig(scheme="PC2", k=k, alpha=alpha)
+        out = corrector_pc2(m, v, cfg, fld, cube2_asm, 0.0)
+        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-14
 
     def test_pc2_matches_dense_blocks(self, cube2_asm):
         from llgpc.llg import apply_pi, lower_field

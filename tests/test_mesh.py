@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from llgpc.errors import GeometryError, InvalidParameterError, ParseError
 from llgpc.mesh import (Mesh, boundary_face_counts, build_cube_mesh, load_mesh,
@@ -98,6 +99,23 @@ class TestTextFormat:
         back = load_mesh(save_mesh(mesh))
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.tets, mesh.tets)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=3),
+           edge=st.floats(min_value=0.1, max_value=10.0),
+           center=hnp.arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)),
+           data=st.data())
+    def test_round_trip_perturbed_property(self, n, edge, center, data):
+        cube = build_cube_mesh(n, edge, center=center)
+        # a shift of at most 5% of the cell size per coordinate keeps every
+        # Kuhn tet, whose heights are at least 70% of it, positive
+        shift = data.draw(hnp.arrays(np.float64, cube.vertices.shape,
+                                     elements=st.floats(-0.05, 0.05)))
+        mesh = make_mesh(cube.vertices + shift * (edge / n), cube.tets)
+        back = load_mesh(save_mesh(mesh))
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()
+        assert np.array_equal(back.tets, mesh.tets)
+        assert back.h_max == mesh.h_max
 
     def test_bad_vertex_reference(self):
         mesh = build_cube_mesh(1, 1.0)
