@@ -46,7 +46,6 @@ def _add_physics_flags(p):
                    default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lin-tol", type=float, default=1e-12)
-    p.add_argument("--fix-tol", type=float, default=1e-10)
 
 
 def _build_parser():
@@ -115,7 +114,7 @@ def _make_field(args) -> EffectiveField:
 def _make_integrator(args) -> IntegratorConfig:
     return IntegratorConfig(scheme=args.scheme, k=args.k,
                             theta=args.theta, alpha=args.alpha,
-                            lin_tol=args.lin_tol, fixpoint_tol=args.fix_tol)
+                            lin_tol=args.lin_tol)
 
 
 def _emit(text: str, out):

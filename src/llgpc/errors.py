@@ -48,22 +48,16 @@ class NoConvergenceError(LlgpcError):
         super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e})")
 
 
-class FixedPointDivergenceError(LlgpcError):
-    """The inner fixed-point loop of the fully implicit predictor diverged."""
-
-    def __init__(self, iterations: int, increment: float):
-        self.iterations = iterations
-        self.increment = increment
-        super().__init__(
-            f"fixed-point iteration did not converge within {iterations} "
-            f"iterations (last increment {increment:.3e})"
-        )
-
-
 class SolverFailure(LlgpcError):
-    """A time step failed; wraps the underlying solver error with the step index."""
+    """A time step failed; wraps the underlying solver error with the
+    scheme, the step index, the step size k and the time t it started at."""
 
-    def __init__(self, step: int, cause: Exception):
+    def __init__(self, scheme: str, step: int, k: float, t: float,
+                 cause: Exception):
+        self.scheme = scheme
         self.step = step
+        self.k = k
+        self.t = t
         self.cause = cause
-        super().__init__(f"step {step} failed: {cause}")
+        super().__init__(
+            f"{scheme} step {step} (k={k!r}, from t={t!r}) failed: {cause}")

@@ -182,7 +182,8 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
         try:
             state = step(state, cfg.integrator, cfg.field, asm)
         except LlgpcError as exc:
-            err = SolverFailure(state.ell + 1, exc)
+            err = SolverFailure(cfg.integrator.scheme, state.ell + 1, k,
+                                state.time(k), exc)
             return RunResult(state=state, trace=trace, status="failed",
                              error=err, snapshots=snapshots)
         if on_step is not None:
@@ -245,7 +246,8 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     The reference uses the midpoint corrector scheme at step size k_ref;
     every study step size must be an integer multiple of k_ref so that
     errors can be compared at shared time nodes.  The error for each k is
-    the maximum H1-norm difference over all its time nodes.
+    the maximum H1-norm difference over all its time nodes.  A run that
+    fails raises its SolverFailure.
     """
     ks = sorted(set(float(k) for k in ks), reverse=True)
     for k in ks:
@@ -266,7 +268,7 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     ref = run_simulation(asm, ref_cfg, m0,
                          snapshot_times=[j * k_ref for j in ref_steps])
     if ref.status == "failed":
-        raise SolverFailure(0, ref.error)
+        raise ref.error
 
     results = []
     for scheme in schemes:
@@ -283,7 +285,7 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
             res = run_simulation(asm, cfg, m0,
                                  snapshot_times=[j * k for j in steps])
             if res.status == "failed":
-                raise SolverFailure(0, res.error)
+                raise res.error
             err = 0.0
             for j in steps:
                 diff = res.snapshots[j] - ref.snapshots[j * ratio]

@@ -183,7 +183,8 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
     """Restarted GMRES for a square operator given as a callback.
 
     Returns a SolveResult with ||b - A x|| <= rtol * ||b||.  Raises
-    NoConvergenceError carrying the best iterate if maxit is exhausted.
+    NoConvergenceError carrying the best iterate if maxit is exhausted, and
+    at once if ||b|| or a residual is not finite.
     """
     if rtol <= 0:
         raise InvalidParameterError("rtol must be positive")
@@ -195,6 +196,10 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     if bnorm == 0.0:
         return SolveResult(x=np.zeros(n), iterations=0, residual=0.0)
+    # an inf tol would accept any residual, an overflowed one included
+    if not math.isfinite(bnorm):
+        raise NoConvergenceError("GMRES right-hand side norm is not finite",
+                                 best_x=x, residual=bnorm)
     tol = rtol * bnorm
 
     # with x0 = None the initial residual is b itself; after that, each

@@ -2,13 +2,17 @@
 
 The predictor solves, after mass lumping, the nodewise system
 
-    (1+a^2) v(z) + c [ m x Lap_h v + a m x (m x Lap_h v) ](z)
-        = -[ m x H0 + a m x (m x H0) ](z),       c = ell_ex^2 theta k,
+    (1+a^2) v(z) + [ m x h + a m x (m x h) ](z)
+        = -[ m x H0 + a m x (m x H0) ](z),
 
 with H0 = ell_ex^2 Lap_h m + h_lower, h_lower the (already P_h-mapped)
-lower-order field.  The PC2 corrector decouples into independent 3x3
-solves per node because its unknown appears without a Laplacian; this is
-verified against a dense oracle in the tests.
+lower-order field.  The IMEX schemes take h = ell_ex^2 theta k Lap_h v.
+PC1 and PC2 evaluate the lower-order field at m + theta k v; pi is linear,
+so this adds theta k P_h pi(v) to h, with H0 = ell_ex^2 Lap_h m +
+P_h pi(m) + f(t + theta k), and v is still one linear solve.  Dotting with
+m gives (1+a^2) m.v = 0 either way.  The PC2 corrector decouples into
+independent 3x3 solves per node because its unknown appears without a
+Laplacian; this is verified against a dense oracle in the tests.
 """
 
 from dataclasses import dataclass, replace
@@ -16,15 +20,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FixedPointDivergenceError, InvalidParameterError
+from .errors import InvalidParameterError
 from .fem import (Assemblies, UNIT_TOL, apply_Ph, discrete_laplacian,
                   grad_sq, inner_l2, is_unit, nodal_cross,
                   nodal_project_sphere)
 from .linalg import gmres
 
 SCHEMES = ("PC1", "PC1_IMEX", "PC1_PROJFREE", "PC2", "PC2_IMEX")
-
-MAX_FIXPOINT_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,6 @@ class IntegratorConfig:
     theta: float = 0.5
     alpha: float = 1.0
     lin_tol: float = 1e-12
-    fixpoint_tol: float = 1e-10
     restart: int = 30
     maxit: Optional[int] = None
 
@@ -128,7 +129,8 @@ def apply_pi(field_cfg: EffectiveField, m: np.ndarray) -> np.ndarray:
 def lower_field(asm: Assemblies, field_cfg: EffectiveField, pi_of: np.ndarray,
                 t: float) -> np.ndarray:
     """P_h(pi-term + f(t)) for a P1 field pi_of already evaluated nodewise."""
-    h = apply_Ph(asm.mass, asm.beta, pi_of)
+    h = (apply_Ph(asm.mass, asm.beta, pi_of) if field_cfg.uniaxial is not None
+         else np.zeros_like(pi_of))  # P_h 0 = 0 without a mass product
     f = field_cfg.f_at(t)
     if f is not None:
         h = h + f  # P_h of a constant is the constant itself
@@ -197,24 +199,27 @@ def exchange_field(asm: Assemblies, field_cfg: EffectiveField,
 
 def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveField,
                    asm: Assemblies, h_lower: Optional[np.ndarray] = None,
-                   h_ex: Optional[np.ndarray] = None):
+                   implicit_pi: bool = False):
     """Solve the 3N predictor system with GMRES; returns (v, iterations).
-    h_ex is exchange_field(asm, field_cfg, m) if the caller has it."""
+    With implicit_pi the operator also carries theta k P_h pi(v)."""
     n = asm.n
     a = cfg.alpha
     c_ex = field_cfg.ell_ex ** 2 * cfg.theta * cfg.k
     st = asm.stiffness
     beta = asm.beta
 
-    h0 = exchange_field(asm, field_cfg, m) if h_ex is None else h_ex
+    h0 = exchange_field(asm, field_cfg, m)
     if h_lower is not None:
         h0 = h0 + h_lower
     rhs = -_cross_damped(m, h0, a)
 
     def apply(x):
         v = x.reshape(n, 3)
-        lap = discrete_laplacian(st, beta, v)
-        return ((1.0 + a * a) * v + c_ex * _cross_damped(m, lap, a)).reshape(-1)
+        h = discrete_laplacian(st, beta, v)
+        if implicit_pi:
+            h = h + apply_Ph(asm.mass, beta, apply_pi(field_cfg, v)) / (
+                field_cfg.ell_ex ** 2)
+        return ((1.0 + a * a) * v + c_ex * _cross_damped(m, h, a)).reshape(-1)
 
     res = gmres(apply, rhs.reshape(-1), rtol=cfg.lin_tol, restart=cfg.restart,
                 maxit=cfg.maxit)
@@ -303,34 +308,14 @@ def predictor_tangent(m: np.ndarray, cfg: IntegratorConfig,
 def predictor_fully_implicit(m: np.ndarray, cfg: IntegratorConfig,
                              field_cfg: EffectiveField, asm: Assemblies,
                              t: float):
-    """Inner fixed-point loop treating the lower-order field implicitly.
-
-    v^0 = 0; v^{i+1} solves the predictor with
-    h_lower = P_h(pi(m + theta k v^i) + f(t + theta k)); stops when the
-    L2 norm of the increment drops below fixpoint_tol.
-    """
-    t_eval = t + cfg.theta * cfg.k
-    if field_cfg.uniaxial is None:
-        # no v-dependence in the lower-order field: one solve suffices
-        f = field_cfg.f_at(t_eval)
-        h_lower = None if f is None else np.broadcast_to(f, m.shape).copy()
-        return predictor_full(m, cfg, field_cfg, asm, h_lower=h_lower)
-
-    h_ex = exchange_field(asm, field_cfg, m)  # m is fixed inside the loop
-    v = np.zeros_like(m)
-    total_iters = 0
-    increment = np.inf
-    for _ in range(MAX_FIXPOINT_ITERATIONS):
-        arg = m + cfg.theta * cfg.k * v
-        h_lower = lower_field(asm, field_cfg, apply_pi(field_cfg, arg), t_eval)
-        v_new, iters = predictor_full(m, cfg, field_cfg, asm, h_lower, h_ex)
-        total_iters += iters
-        d = v_new - v
-        increment = np.sqrt(max(inner_l2(asm.mass, d, d), 0.0))
-        v = v_new
-        if increment <= cfg.fixpoint_tol:
-            return v, total_iters
-    raise FixedPointDivergenceError(MAX_FIXPOINT_ITERATIONS, increment)
+    """PC1/PC2 predictor with the lower-order field P_h pi(m + theta k v) +
+    f(t + theta k); pi is linear, so this is one predictor_full solve."""
+    h_lower = None
+    if field_cfg.has_lower_order:
+        h_lower = lower_field(asm, field_cfg, apply_pi(field_cfg, m),
+                              t + cfg.theta * cfg.k)
+    return predictor_full(m, cfg, field_cfg, asm, h_lower,
+                          implicit_pi=field_cfg.uniaxial is not None)
 
 
 def corrector_project(m: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:

@@ -121,16 +121,6 @@ def build_cube_mesh(n: int, edge_length: float, center=(0.0, 0.0, 0.0)) -> Mesh:
     return make_mesh(vertices, tets, fix_orientation=True)
 
 
-def boundary_face_counts(mesh: Mesh) -> dict:
-    """Map face (sorted 3-tuple) -> number of tets sharing it."""
-    counts = {}
-    for tet in mesh.tets:
-        for drop in range(4):
-            face = tuple(sorted(int(tet[c]) for c in range(4) if c != drop))
-            counts[face] = counts.get(face, 0) + 1
-    return counts
-
-
 def save_mesh(mesh: Mesh) -> str:
     """Serialize to the line-oriented text format (see load_mesh)."""
     lines = [f"tetmesh {mesh.n_vertices} {mesh.n_tets}"]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from llgpc.cli import main
 from llgpc.harness import TRACE_COLUMNS
@@ -33,6 +34,17 @@ def test_run_writes_trace_csv(tmp_path):
     lines = out.read_text().split("\n")
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert len(lines) >= 6
+
+
+def test_run_pc1_with_anisotropy(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    args = ["run", "--mesh-n", "2", "--scheme", "PC1", "--theta", "1.0",
+            "--k", "0.5", "--T", "1.0", "--pi-uniaxial", "10", "0", "0", "1",
+            "--init", "random", "--seed", "1", "--out", str(out)]
+    assert main(args) == 0
+    assert len(out.read_text().strip().split("\n")) == 1 + 3  # ell = 0, 1, 2
+    with pytest.raises(SystemExit):  # the implicit field needs no own tolerance
+        main(args + ["--fix-tol", "1e-10"])
 
 
 def test_run_config_error_exit_code(capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from llgpc import fem, harness, llg
-from llgpc.errors import ConfigError, InvalidParameterError
+from llgpc.errors import (ConfigError, InvalidParameterError,
+                          NoConvergenceError, SolverFailure)
 from llgpc.harness import (RunConfig, TRACE_COLUMNS, convergence_to_csv,
                            estimated_order, init_state, make_cube_assemblies,
                            run_convergence_study, run_simulation,
@@ -143,6 +144,44 @@ class TestRunSimulation:
         assert res.status == "completed"
         assert sorted(res.snapshots) == [0, 3]
         assert np.array_equal(res.snapshots[3], seen[3])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_projection_free_run_fails(self):
+        # m.v = 0 nodewise, so m + k v only grows the nodal moduli: by step
+        # 5 they reach 1e82 and the predictor's right-hand side overflows
+        asm = make_cube_assemblies(2)
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_PROJFREE",
+                                                    k=0.5, theta=0.0),
+                        field=EffectiveField(), t_end=20.0)
+        res = run_simulation(asm, cfg, init_state(asm.mesh, "random", seed=1))
+        assert res.status == "failed"
+        assert res.error.step == 6
+        assert isinstance(res.error.cause, NoConvergenceError)
+
+    def test_solver_failure_names_scheme_step_k_and_t(self, monkeypatch):
+        asm = make_cube_assemblies(1)
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=0.25),
+                        field=EffectiveField(), t_end=1.0)
+        real_step = harness.step
+
+        def failing_step(state, *args):
+            if state.ell == 2:
+                raise NoConvergenceError("GMRES did not converge",
+                                         residual=1e-3, iterations=7)
+            return real_step(state, *args)
+
+        monkeypatch.setattr(harness, "step", failing_step)
+        res = run_simulation(asm, cfg, init_state(asm.mesh, "random", seed=3))
+        err = res.error
+        assert res.status == "failed" and res.state.ell == 2
+        assert (err.scheme, err.step, err.k, err.t) == ("PC2", 3, 0.25, 0.5)
+        assert isinstance(err.cause, NoConvergenceError)
+        assert str(err).startswith(
+            "PC2 step 3 (k=0.25, from t=0.5) failed: GMRES did not converge")
+        with pytest.raises(SolverFailure) as exc:
+            run_convergence_study(asm, EffectiveField(), ["PC2"], [0.25],
+                                  0.25, 1.0, init_state(asm.mesh, "uniform"))
+        assert (exc.value.scheme, exc.value.step) == ("PC2", 3)
 
     def test_t_end_must_be_multiple_of_k(self):
         with pytest.raises(ConfigError):

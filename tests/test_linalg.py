@@ -260,6 +260,20 @@ class TestGmres:
         assert calls == []
         assert exc.value.iterations == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_rhs_norm_fails_before_any_application(self):
+        # ||b|| overflows although b is finite: tol = inf must not accept x = 0
+        calls = []
+
+        def double(x):
+            calls.append(1)
+            return 2.0 * x
+
+        with pytest.raises(NoConvergenceError) as exc:
+            gmres(double, np.array([1e200, 1e200, 3.0]))
+        assert calls == []
+        assert exc.value.iterations == 0
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_fails_after_one_application(self, bad):

@@ -5,8 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from llgpc.errors import GeometryError, InvalidParameterError, ParseError
-from llgpc.mesh import (Mesh, boundary_face_counts, build_cube_mesh, load_mesh,
-                        make_mesh, save_mesh, tet_volumes)
+from llgpc.mesh import (Mesh, build_cube_mesh, load_mesh, make_mesh, save_mesh,
+                        tet_volumes)
+
+
+def face_counts(mesh: Mesh) -> np.ndarray:
+    """Number of tets sharing each distinct face (vertex triple)."""
+    faces = mesh.tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]
+    faces = np.sort(faces.reshape(-1, 3), axis=1)
+    return np.unique(faces, axis=0, return_counts=True)[1]
 
 
 class TestBuildCubeMesh:
@@ -35,9 +42,9 @@ class TestBuildCubeMesh:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_conforming_face_counts(self, n):
-        counts = boundary_face_counts(build_cube_mesh(n, 1.0))
-        assert set(counts.values()) <= {1, 2}
-        n_boundary = sum(1 for c in counts.values() if c == 1)
+        counts = face_counts(build_cube_mesh(n, 1.0))
+        assert set(counts.tolist()) <= {1, 2}
+        n_boundary = int(np.count_nonzero(counts == 1))
         # each cube face is covered by 2 n^2 triangles
         assert n_boundary == 12 * n * n
 
