@@ -77,10 +77,10 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     return Assemblies(mesh=mesh, stiffness=stiffness, mass=mass, beta=beta)
 
 
-def _check_match(beta, *fields):
+def _check_match(beta, *fields, scalar=False):
     n = beta.shape[0]
     for f in fields:
-        if f.shape != (n, 3):
+        if f.shape != (n, 3) and not (scalar and f.shape == (n,)):
             raise InvalidParameterError(
                 f"field shape {f.shape} does not match mesh with {n} vertices"
             )
@@ -111,16 +111,17 @@ def discrete_laplacian(stiffness: CsrMatrix, beta: np.ndarray,
 def apply_Ph(mass: CsrMatrix, beta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Lumped representative of a P1 field: (P_h w)(z) = beta_z^{-1} (M w)(z).
 
-    Satisfies <P_h w, w_h>_h = <w, w_h>_L2 for every discrete w_h.
+    Satisfies <P_h w, w_h>_h = <w, w_h>_L2 for every discrete w_h.  The
+    field is (N, 3) or scalar (N,).
     """
-    _check_match(beta, w)
-    return spmv(mass, w) / beta[:, None]
+    _check_match(beta, w, scalar=True)
+    return spmv(mass, w) / (beta if w.ndim == 1 else beta[:, None])
 
 
 def nodal_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Nodal interpolant of u x w; the products and differences of np.cross,
     so bitwise equal to it, without its axis handling."""
-    out = np.empty(np.broadcast_shapes(u.shape, w.shape))
+    out = np.empty(np.broadcast(u, w).shape)
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
     w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
     np.subtract(u1 * w2, u2 * w1, out=out[..., 0])

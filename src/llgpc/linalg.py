@@ -176,7 +176,8 @@ class SolveResult:
 
 
 def _norm(x):
-    return float(np.linalg.norm(x))
+    """Euclidean norm of a real 1-d array, as np.linalg.norm computes it."""
+    return math.sqrt(float(np.dot(x, x)))
 
 
 def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
@@ -257,7 +258,8 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
                                          iterations=total_iters)
             if abs(g[j + 1]) <= tol or h_sub == 0.0:
                 break
-        y = np.linalg.solve(np.triu(H[:k_done, :k_done]), g[:k_done])
+        # the Givens steps leave H upper triangular
+        y = np.linalg.solve(H[:k_done, :k_done], g[:k_done])
         x = x + V[:k_done].T @ y
         r = b - apply(x)
         beta = _norm(r)

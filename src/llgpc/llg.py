@@ -10,9 +10,11 @@ lower-order field.  The IMEX schemes take h = ell_ex^2 theta k Lap_h v.
 PC1 and PC2 evaluate the lower-order field at m + theta k v; pi is linear,
 so this adds theta k P_h pi(v) to h, with H0 = ell_ex^2 Lap_h m +
 P_h pi(m) + f(t + theta k), and v is still one linear solve.  Dotting with
-m gives (1+a^2) m.v = 0 either way.  The PC2 corrector decouples into
-independent 3x3 solves per node because its unknown appears without a
-Laplacian; this is verified against a dense oracle in the tests.
+m gives (1+a^2) m.v = 0 either way.  pi(w) = c (w.e) e has rank one, so
+P_h pi(w) = c beta^{-1} M (w.e) e takes one scalar mass product, and the
+anisotropy energy is -c/2 (m.e)^T M (m.e).  The PC2 corrector decouples
+into independent 3x3 solves per node because its unknown appears without
+a Laplacian; this is verified against a dense oracle in the tests.
 """
 
 from dataclasses import dataclass, replace
@@ -37,12 +39,11 @@ class Uniaxial:
     axis: np.ndarray
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=np.float64)
         if not (np.isfinite(self.c) and self.c >= 0):
             raise InvalidParameterError(
                 "anisotropy constant must be finite and >= 0")
-        n = np.linalg.norm(axis)
-        if not np.isclose(n, 1.0, atol=1e-12):
+        axis = _field_vector(self.axis, "anisotropy axis")
+        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
             raise InvalidParameterError("anisotropy axis must be unit length")
         object.__setattr__(self, "axis", axis)
 
@@ -118,19 +119,18 @@ class SimState:
         return self.ell * k
 
 
-def apply_pi(field_cfg: EffectiveField, m: np.ndarray) -> np.ndarray:
-    """Lower-order operator pi: zero or local uniaxial anisotropy."""
-    if field_cfg.uniaxial is None:
-        return np.zeros_like(m)
+def ph_pi(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray):
+    """P_h pi(w) = c beta^{-1} M (w.e) e for the uniaxial pi(w) = c (w.e) e:
+    pi has rank one, so one scalar mass product."""
     u = field_cfg.uniaxial
-    return u.c * np.outer(m @ u.axis, u.axis)
+    return np.outer(u.c * apply_Ph(asm.mass, asm.beta, w @ u.axis), u.axis)
 
 
-def lower_field(asm: Assemblies, field_cfg: EffectiveField, pi_of: np.ndarray,
+def lower_field(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray,
                 t: float) -> np.ndarray:
-    """P_h(pi-term + f(t)) for a P1 field pi_of already evaluated nodewise."""
-    h = (apply_Ph(asm.mass, asm.beta, pi_of) if field_cfg.uniaxial is not None
-         else np.zeros_like(pi_of))  # P_h 0 = 0 without a mass product
+    """P_h(pi(w) + f(t)) for a P1 field w."""
+    h = (ph_pi(asm, field_cfg, w) if field_cfg.uniaxial is not None
+         else np.zeros_like(w))  # P_h 0 = 0 without a mass product
     f = field_cfg.f_at(t)
     if f is not None:
         h = h + f  # P_h of a constant is the constant itself
@@ -145,7 +145,8 @@ def energy(asm: Assemblies, field_cfg: EffectiveField, m: np.ndarray,
         gsq = grad_sq(asm.stiffness, m)
     e = 0.5 * field_cfg.ell_ex ** 2 * gsq
     if field_cfg.uniaxial is not None:
-        e -= 0.5 * inner_l2(asm.mass, apply_pi(field_cfg, m), m)
+        s = m @ field_cfg.uniaxial.axis
+        e -= 0.5 * field_cfg.uniaxial.c * inner_l2(asm.mass, s, s)
     f = field_cfg.f_at(t)
     if f is not None:
         # M's row sums are beta, so <f, m>_L2 = f . (beta @ m) exactly
@@ -217,8 +218,7 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
         v = x.reshape(n, 3)
         h = discrete_laplacian(st, beta, v)
         if implicit_pi:
-            h = h + apply_Ph(asm.mass, beta, apply_pi(field_cfg, v)) / (
-                field_cfg.ell_ex ** 2)
+            h = h + ph_pi(asm, field_cfg, v) / field_cfg.ell_ex ** 2
         return ((1.0 + a * a) * v + c_ex * _cross_damped(m, h, a)).reshape(-1)
 
     res = gmres(apply, rhs.reshape(-1), rtol=cfg.lin_tol, restart=cfg.restart,
@@ -310,10 +310,8 @@ def predictor_fully_implicit(m: np.ndarray, cfg: IntegratorConfig,
                              t: float):
     """PC1/PC2 predictor with the lower-order field P_h pi(m + theta k v) +
     f(t + theta k); pi is linear, so this is one predictor_full solve."""
-    h_lower = None
-    if field_cfg.has_lower_order:
-        h_lower = lower_field(asm, field_cfg, apply_pi(field_cfg, m),
-                              t + cfg.theta * cfg.k)
+    h_lower = (lower_field(asm, field_cfg, m, t + cfg.theta * cfg.k)
+               if field_cfg.has_lower_order else None)
     return predictor_full(m, cfg, field_cfg, asm, h_lower,
                           implicit_pi=field_cfg.uniaxial is not None)
 
@@ -339,8 +337,7 @@ def corrector_pc2(m: np.ndarray, v: np.ndarray, cfg: IntegratorConfig,
     u = m + 0.5 * cfg.k * v
     f_mid = exchange_field(asm, field_cfg, u)
     if field_cfg.has_lower_order:
-        f_mid = f_mid + lower_field(asm, field_cfg, apply_pi(field_cfg, u),
-                                    t + 0.5 * cfg.k)
+        f_mid = f_mid + lower_field(asm, field_cfg, u, t + 0.5 * cfg.k)
     c = 0.5 * cfg.k * (f_mid + cfg.alpha * nodal_cross(u, f_mid))
     # (a I - [c]_x)^{-1} = (a^2 I + a [c]_x + c c^T) / (a (a^2 + |c|^2))
     csq = np.einsum("ij,ij->i", c, c)
@@ -362,7 +359,7 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
     elif scheme in ("PC1_IMEX", "PC1_PROJFREE"):
         h_lower = None
         if field_cfg.has_lower_order:
-            h_lower = lower_field(asm, field_cfg, apply_pi(field_cfg, m), t)
+            h_lower = lower_field(asm, field_cfg, m, t)
         v, iters = predictor_full(m, cfg, field_cfg, asm, h_lower=h_lower)
     elif scheme == "PC2_IMEX":
         if state.ell == 0:
@@ -376,9 +373,9 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
             raise InvalidParameterError("PC2_IMEX needs m_prev for ell >= 1")
         h_lower = None
         if field_cfg.has_lower_order:
-            pi_ex = ((1.0 + cfg.theta) * apply_pi(field_cfg, m)
-                     - cfg.theta * apply_pi(field_cfg, state.m_prev))
-            h_lower = lower_field(asm, field_cfg, pi_ex, t + cfg.theta * cfg.k)
+            # pi is linear: extrapolate its argument, not its values
+            w = (1.0 + cfg.theta) * m - cfg.theta * state.m_prev
+            h_lower = lower_field(asm, field_cfg, w, t + cfg.theta * cfg.k)
         v, iters = predictor_full(m, cfg, field_cfg, asm, h_lower=h_lower)
     else:  # pragma: no cover
         raise InvalidParameterError(f"unknown scheme {scheme!r}")

@@ -186,6 +186,23 @@ class TestApplyPh:
         assert out[:, 0] == pytest.approx([0.4, 0.2, 0.2, 0.2])
         assert np.abs(out[:, 1:]).max() == 0.0
 
+    def test_scalar_field_is_one_column(self, cube2_asm):
+        s = np.random.Generator(np.random.Philox(14)).normal(size=cube2_asm.n)
+        out = apply_Ph(cube2_asm.mass, cube2_asm.beta, s)
+        ref = apply_Ph(cube2_asm.mass, cube2_asm.beta,
+                       np.column_stack([s, -s, 2.0 * s]))
+        assert out.shape == (cube2_asm.n,)
+        assert np.array_equal(out, ref[:, 0])
+
+    @pytest.mark.parametrize("extra,cols", [(1, ()), (1, (3,)), (0, (2,)),
+                                            (0, (3, 1))],
+                             ids=["scalar_long", "field_long", "two_cols",
+                                  "three_d"])
+    def test_shape_mismatch(self, cube2_asm, extra, cols):
+        w = np.ones((cube2_asm.n + extra,) + cols)
+        with pytest.raises(InvalidParameterError):
+            apply_Ph(cube2_asm.mass, cube2_asm.beta, w)
+
 
 class TestNodalOps:
     def test_cross_constants(self, cube1_asm):

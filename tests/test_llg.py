@@ -6,12 +6,13 @@ from hypothesis.extra import numpy as hnp
 
 from llgpc import llg
 from llgpc.errors import InvalidParameterError, NoConvergenceError
-from llgpc.fem import discrete_laplacian, grad_sq, inner_h, inner_l2
+from llgpc.fem import (apply_Ph, discrete_laplacian, grad_sq, inner_h,
+                       inner_l2)
 from llgpc.llg import (EffectiveField, IntegratorConfig, SimState,
-                       TangencyRecorder, Uniaxial, apply_pi, corrector_pc2,
-                       corrector_project, energy, predictor_full,
-                       predictor_fully_implicit, predictor_tangent, step,
-                       tangent_basis)
+                       TangencyRecorder, Uniaxial, corrector_pc2,
+                       corrector_project, energy, lower_field, ph_pi,
+                       predictor_full, predictor_fully_implicit,
+                       predictor_tangent, step, tangent_basis)
 
 from conftest import random_unit_field
 
@@ -47,6 +48,15 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             Uniaxial(1.0, np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0 + 9e-6], [1.0, 0.0],
+                                      [[0.0, 0.0, 1.0]], [0.0, 0.0, 1.0, 0.0]],
+                             ids=["off_by_9e-6", "shape2", "shape1x3",
+                                  "shape4"])
+    def test_uniaxial_bad_axis_rejected(self, axis):
+        # each has |axis| within numpy's isclose default rtol of 1
+        with pytest.raises(InvalidParameterError):
+            Uniaxial(1.0, np.array(axis))
+
     def test_applied_field_callable(self):
         f = EffectiveField(applied=lambda t: np.array([t, 0.0, 0.0]))
         assert f.f_at(2.0) == pytest.approx([2.0, 0.0, 0.0])
@@ -66,23 +76,34 @@ class TestConfigs:
             f.f_at(0.0)
 
 
-class TestApplyPi:
+class TestPhPi:
     def test_aligned_with_axis(self, cube2_asm):
         fld = EffectiveField(uniaxial=Uniaxial(2.0, E3))
         m = uniform_field(cube2_asm.n, E3)
-        assert apply_pi(fld, m) == pytest.approx(2.0 * m)
+        assert ph_pi(cube2_asm, fld, m) == pytest.approx(2.0 * m)
 
     def test_orthogonal_to_axis(self, cube2_asm):
         fld = EffectiveField(uniaxial=Uniaxial(2.0, E3))
         m = uniform_field(cube2_asm.n, (1.0, 0.0, 0.0))
-        assert np.abs(apply_pi(fld, m)).max() == 0.0
+        assert np.abs(ph_pi(cube2_asm, fld, m)).max() == 0.0
 
     def test_self_adjoint(self, cube2_asm):
         fld = EffectiveField(uniaxial=Uniaxial(1.5, E3))
         u = random_unit_field(cube2_asm.n, 41)
         w = random_unit_field(cube2_asm.n, 42)
-        assert inner_h(cube2_asm.beta, apply_pi(fld, u), w) == pytest.approx(
-            inner_h(cube2_asm.beta, u, apply_pi(fld, w)), rel=1e-12)
+        assert inner_h(cube2_asm.beta, ph_pi(cube2_asm, fld, u),
+                       w) == pytest.approx(
+            inner_h(cube2_asm.beta, u, ph_pi(cube2_asm, fld, w)), rel=1e-12)
+
+    def test_matches_three_column_mass_product(self, cube2_asm):
+        c, axis = 2.5, np.array([1.0, -2.0, 2.0]) / 3.0
+        fld = EffectiveField(uniaxial=Uniaxial(c, axis))
+        rng = np.random.Generator(np.random.Philox(43))
+        w = rng.normal(size=(cube2_asm.n, 3))
+        ref = apply_Ph(cube2_asm.mass, cube2_asm.beta,
+                       c * np.outer(w @ axis, axis))
+        out = ph_pi(cube2_asm, fld, w)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestEnergy:
@@ -102,6 +123,16 @@ class TestEnergy:
         fld = EffectiveField(uniaxial=Uniaxial(3.0, E3))
         m = uniform_field(cube2_asm.n, E3)
         assert energy(cube2_asm, fld, m) == pytest.approx(-1.5)
+
+    def test_anisotropy_matches_three_column_form(self, cube2_asm):
+        # -1/2 <pi(m), m>_L2 with the nodal pi(m) = c (m.e) e
+        c, axis = 2.5, np.array([1.0, -2.0, 2.0]) / 3.0
+        fld = EffectiveField(uniaxial=Uniaxial(c, axis))
+        m = random_unit_field(cube2_asm.n, 44)
+        pi_m = c * np.outer(m @ axis, axis)
+        ref = (0.5 * grad_sq(cube2_asm.stiffness, m)
+               - 0.5 * inner_l2(cube2_asm.mass, pi_m, m))
+        assert energy(cube2_asm, fld, m) == pytest.approx(ref, rel=1e-13)
 
 
 class TestTangentBasis:
@@ -184,15 +215,13 @@ class TestPredictors:
         assert iters <= 40
 
     def test_fully_implicit_variational_residual(self, cube2_asm):
-        from llgpc.llg import apply_pi, lower_field
         fld = EffectiveField(uniaxial=Uniaxial(1.0, E3))
         cfg = IntegratorConfig(scheme="PC2", k=1e-3, theta=0.5)
         m = random_unit_field(cube2_asm.n, 66)
         v, _ = predictor_fully_implicit(m, cfg, fld, cube2_asm, t=0.0)
         # re-evaluate the implicit system at the returned v
         arg = m + cfg.theta * cfg.k * v
-        h_lower = lower_field(cube2_asm, fld, apply_pi(fld, arg),
-                              cfg.theta * cfg.k)
+        h_lower = lower_field(cube2_asm, fld, arg, cfg.theta * cfg.k)
         v2, _ = predictor_full(m, cfg, fld, cube2_asm, h_lower=h_lower)
         d = v2 - v
         res = np.sqrt(inner_l2(cube2_asm.mass, d, d))
@@ -202,13 +231,12 @@ class TestPredictors:
     def test_fully_implicit_stiff_anisotropy_converges(self, cube2_asm, c, k):
         # a fixed-point iteration on the lower-order field diverges here;
         # the field is linear in v, so one linear solve gives v directly
-        from llgpc.llg import apply_pi, lower_field
         fld = EffectiveField(uniaxial=Uniaxial(c, E3))
         cfg = IntegratorConfig(scheme="PC1", k=k, theta=1.0)
         m = random_unit_field(cube2_asm.n, 1)
         v, _ = predictor_fully_implicit(m, cfg, fld, cube2_asm, t=0.0)
         assert np.abs(np.einsum("ij,ij->i", m, v)).max() <= 1e-13
-        h_lower = lower_field(cube2_asm, fld, apply_pi(fld, m + k * v), k)
+        h_lower = lower_field(cube2_asm, fld, m + k * v, k)
         v2, _ = predictor_full(m, cfg, fld, cube2_asm, h_lower=h_lower)
         assert np.abs(v2 - v).max() <= 1e-9 * np.abs(v).max()
 
@@ -264,7 +292,6 @@ class TestCorrectors:
         assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-14
 
     def test_pc2_matches_dense_blocks(self, cube2_asm):
-        from llgpc.llg import apply_pi, lower_field
         cfg = IntegratorConfig(scheme="PC2", k=5e-3, alpha=0.7)
         fld = EffectiveField(uniaxial=Uniaxial(1.0, E3))
         m = random_unit_field(cube2_asm.n, 73)
@@ -273,8 +300,7 @@ class TestCorrectors:
         a2 = 1.0 + cfg.alpha ** 2
         u = m + 0.5 * cfg.k * v
         f_mid = discrete_laplacian(cube2_asm.stiffness, cube2_asm.beta, u)
-        f_mid = f_mid + lower_field(cube2_asm, fld, apply_pi(fld, u),
-                                    0.5 * cfg.k)
+        f_mid = f_mid + lower_field(cube2_asm, fld, u, 0.5 * cfg.k)
         c = 0.5 * cfg.k * (f_mid + cfg.alpha * np.cross(u, f_mid))
         for z in range(cube2_asm.n):
             skew = np.array([[0.0, -c[z, 2], c[z, 1]],
@@ -304,8 +330,7 @@ class TestStep:
         state = SimState(ell=1, m_curr=m.copy(), m_prev=m.copy())
         out = step(state, cfg, fld, cube2_asm)
 
-        from llgpc.llg import apply_pi, lower_field
-        h = lower_field(cube2_asm, fld, apply_pi(fld, m), cfg.theta * cfg.k)
+        h = lower_field(cube2_asm, fld, m, cfg.theta * cfg.k)
         cfg_pc2 = IntegratorConfig(scheme="PC2", k=1e-3, theta=0.5)
         v, _ = predictor_full(m, cfg_pc2, fld, cube2_asm, h_lower=h)
         expected = corrector_pc2(m, v, cfg_pc2, fld, cube2_asm, 1e-3)
