@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all llgpc modules."""
+"""Exception hierarchy shared by all llgpc modules, and the scalar check
+that raises one of them."""
+
+import math
+import numbers
 
 
 class LlgpcError(Exception):
@@ -7,6 +11,16 @@ class LlgpcError(Exception):
 
 class InvalidParameterError(LlgpcError, ValueError):
     """A function argument violates its documented precondition."""
+
+
+def check_real(x, what: str, positive: bool = False) -> None:
+    """Raise InvalidParameterError unless x is a finite real number that is
+    >= 0, or > 0 with positive; arrays, strings and NaN are rejected."""
+    if not (isinstance(x, numbers.Real) and math.isfinite(x) and x >= 0
+            and (x > 0 or not positive)):
+        raise InvalidParameterError(
+            f"{what} must be a finite {'positive' if positive else '>= 0'} "
+            f"real number, got {x!r}")
 
 
 class ConfigError(LlgpcError, ValueError):

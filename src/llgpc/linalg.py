@@ -6,11 +6,12 @@ without ever materializing a matrix.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoConvergenceError
+from .errors import InvalidParameterError, NoConvergenceError, check_real
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,9 @@ def coo_pattern(rows, cols, shape):
 
 def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     """y = A x for a vector or an (n, 3) field, summing each row in stored
-    order from 0.0, so the result is bitwise that of a per-row loop.
+    order from 0.0, so the result is bitwise that of a per-row loop.  A
+    Fortran-ordered field gives a Fortran-ordered result, any other field a
+    C-ordered one.
 
     The product runs on a hybrid ELL plan (Bell & Garland, SC 2009) built
     with the matrix: slot j of row r in the slot-major (W, R) arrays holds
@@ -165,7 +168,7 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
             yc[long] = np.bincount(bins, weights=np.concatenate([yc[long], qc]))
     if x.ndim == 1:
         return y[0, :a.n_rows]
-    return np.ascontiguousarray(y[:, :a.n_rows].T)
+    return np.asarray(y[:, :a.n_rows].T, order="F" if np.isfortran(x) else "C")
 
 
 @dataclass
@@ -180,15 +183,23 @@ def _norm(x):
     return math.sqrt(float(np.dot(x, x)))
 
 
-def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
-    """Restarted GMRES for a square operator given as a callback.
+def gmres(apply, b, x0=None, rtol=1e-12, restart=10, maxit=None):
+    """Restarted GMRES (Saad & Schultz 1986) for a square operator given as
+    a callback.
+
+    Each cycle runs at most `restart` (10) Arnoldi steps with modified
+    Gram-Schmidt: short cycles keep the per-step orthogonalisation cheap,
+    and the predictors' iteration counts hardly depend on the length.  The
+    Krylov basis is allocated once per solve and reused by every cycle.
 
     Returns a SolveResult with ||b - A x|| <= rtol * ||b||.  Raises
     NoConvergenceError carrying the best iterate if maxit is exhausted, and
     at once if ||b|| or a residual is not finite.
     """
-    if rtol <= 0:
-        raise InvalidParameterError("rtol must be positive")
+    check_real(rtol, "rtol", positive=True)
+    if not (isinstance(restart, numbers.Integral) and restart >= 1):
+        raise InvalidParameterError(f"restart must be an integer >= 1, "
+                                    f"got {restart!r}")
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
     if maxit is None:
@@ -209,6 +220,8 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
     beta = best_res = _norm(r)
     best_x = x.copy()
     total_iters = 0
+    # every row a cycle reads is written first in that cycle
+    V = np.empty((min(restart, max(maxit, 0)) + 1, n))
     while True:
         if beta <= tol:
             return SolveResult(x=x, iterations=total_iters, residual=beta)
@@ -217,13 +230,12 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
             raise NoConvergenceError("GMRES did not converge", best_x=best_x,
                                      residual=best_res, iterations=total_iters)
         m = min(restart, maxit - total_iters)
-        V = np.zeros((m + 1, n))
-        H = np.zeros((m + 1, m))
+        H = np.zeros((m + 1, m))  # zeroed: the solve reads below the diagonal
         cs = np.zeros(m)
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = beta
-        V[0] = r / beta
+        np.divide(r, beta, out=V[0])
         k_done = 0
         for j in range(m):
             # copy: apply may return (a view of) its input, e.g. identity
@@ -234,7 +246,7 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=30, maxit=None):
             h_sub = _norm(w)
             H[j + 1, j] = h_sub
             if h_sub > 0.0:
-                V[j + 1] = w / h_sub
+                np.divide(w, h_sub, out=V[j + 1])
             # apply accumulated Givens rotations to the new column
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_real
 from .fem import (Assemblies, UNIT_TOL, apply_Ph, discrete_laplacian,
                   grad_sq, inner_l2, is_unit, nodal_cross,
                   nodal_project_sphere)
@@ -39,9 +39,7 @@ class Uniaxial:
     axis: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c >= 0):
-            raise InvalidParameterError(
-                "anisotropy constant must be finite and >= 0")
+        check_real(self.c, "anisotropy constant")
         axis = _field_vector(self.axis, "anisotropy axis")
         if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
             raise InvalidParameterError("anisotropy axis must be unit length")
@@ -65,9 +63,7 @@ class EffectiveField:
     applied: Optional[object] = None  # constant 3-vector or callable t -> 3-vector
 
     def __post_init__(self):
-        if not (np.isfinite(self.ell_ex) and self.ell_ex > 0):
-            raise InvalidParameterError(
-                "exchange length must be finite and positive")
+        check_real(self.ell_ex, "exchange length", positive=True)
         if self.applied is not None and not callable(self.applied):
             object.__setattr__(self, "applied",
                                _field_vector(self.applied, "applied field"))
@@ -91,18 +87,16 @@ class IntegratorConfig:
     theta: float = 0.5
     alpha: float = 1.0
     lin_tol: float = 1e-12
-    restart: int = 30
-    maxit: Optional[int] = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise InvalidParameterError(f"unknown scheme {self.scheme!r}")
-        if not 0.0 <= self.theta <= 1.0:
+        check_real(self.theta, "theta")
+        if self.theta > 1.0:
             raise InvalidParameterError("theta must lie in [0, 1]")
-        if self.k <= 0:
-            raise InvalidParameterError("time-step size must be positive")
-        if self.alpha < 0:
-            raise InvalidParameterError("damping must be >= 0")
+        check_real(self.k, "time-step size", positive=True)
+        check_real(self.alpha, "damping")
+        check_real(self.lin_tol, "lin_tol", positive=True)
 
 
 @dataclass
@@ -119,11 +113,14 @@ class SimState:
         return self.ell * k
 
 
-def ph_pi(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray):
-    """P_h pi(w) = c beta^{-1} M (w.e) e for the uniaxial pi(w) = c (w.e) e:
-    pi has rank one, so one scalar mass product."""
+def ph_pi(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray,
+          scale: float = 1.0):
+    """scale P_h pi(w) = scale c beta^{-1} M (w.e) e for the uniaxial
+    pi(w) = c (w.e) e: pi has rank one, so one scalar mass product, and the
+    scale multiplies the (N,) scalar before the outer product."""
     u = field_cfg.uniaxial
-    return np.outer(u.c * apply_Ph(asm.mass, asm.beta, w @ u.axis), u.axis)
+    return np.outer(scale * u.c * apply_Ph(asm.mass, asm.beta, w @ u.axis),
+                    u.axis)
 
 
 def lower_field(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray,
@@ -202,7 +199,13 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
                    asm: Assemblies, h_lower: Optional[np.ndarray] = None,
                    implicit_pi: bool = False):
     """Solve the 3N predictor system with GMRES; returns (v, iterations).
-    With implicit_pi the operator also carries theta k P_h pi(v)."""
+    With implicit_pi the operator also carries theta k P_h pi(v).
+
+    The GMRES unknown is ordered component-major (every x, then every y,
+    then every z); GMRES is indifferent to the order of its unknowns.  Its
+    (N, 3) view is then Fortran-ordered, so the Laplacian, P_h pi and both
+    cross products run on contiguous component columns.  v is returned as a
+    C-ordered (N, 3) field."""
     n = asm.n
     a = cfg.alpha
     c_ex = field_cfg.ell_ex ** 2 * cfg.theta * cfg.k
@@ -213,17 +216,19 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
     if h_lower is not None:
         h0 = h0 + h_lower
     rhs = -_cross_damped(m, h0, a)
+    mf = np.asfortranarray(m)
+    pi_scale = 1.0 / field_cfg.ell_ex ** 2
 
     def apply(x):
-        v = x.reshape(n, 3)
+        v = x.reshape(3, n).T
         h = discrete_laplacian(st, beta, v)
         if implicit_pi:
-            h = h + ph_pi(asm, field_cfg, v) / field_cfg.ell_ex ** 2
-        return ((1.0 + a * a) * v + c_ex * _cross_damped(m, h, a)).reshape(-1)
+            h += ph_pi(asm, field_cfg, v, scale=pi_scale)
+        out = (1.0 + a * a) * v + c_ex * _cross_damped(mf, h, a)
+        return out.T.reshape(-1)
 
-    res = gmres(apply, rhs.reshape(-1), rtol=cfg.lin_tol, restart=cfg.restart,
-                maxit=cfg.maxit)
-    v = res.x.reshape(n, 3)
+    res = gmres(apply, rhs.T.reshape(-1), rtol=cfg.lin_tol)
+    v = np.ascontiguousarray(res.x.reshape(3, n).T)
     if _tangency_hook is not None:
         _tangency_hook(m, v)
     return v, res.iterations
@@ -298,7 +303,7 @@ def predictor_tangent(m: np.ndarray, cfg: IntegratorConfig,
         h0 = h0 + h_lower
     rhs = project(h0)
 
-    res = gmres(apply, rhs, rtol=cfg.lin_tol, restart=cfg.restart, maxit=cfg.maxit)
+    res = gmres(apply, rhs, rtol=cfg.lin_tol)
     v = lift(res.x)
     if _tangency_hook is not None:
         _tangency_hook(m, v)

@@ -159,6 +159,22 @@ class TestSpmv:
         # the padded block never holds more than twice the stored entries
         assert a._ell[0].size <= 2 * a.nnz
 
+    @pytest.mark.parametrize("matrix", ["stiffness", "one_row", "long_row"])
+    def test_fortran_field_gives_equal_fortran_result(self, cube2_asm,
+                                                      matrix):
+        # the component-major predictor passes x.reshape(3, n).T
+        a = named_matrix(matrix, cube2_asm)
+        rng = np.random.Generator(np.random.Philox(6))
+        x = rng.normal(size=(a.n_cols, 3))
+        xf = np.asfortranarray(x)
+        assert np.array_equal(spmv(a, xf), spmv(a, x))
+        assert spmv(a, xf).flags.f_contiguous
+        assert spmv(a, x).flags.c_contiguous
+        # a strided field that is neither C- nor Fortran-ordered gives C
+        xs = np.repeat(x, 2, axis=1)[:, ::2]
+        assert np.array_equal(spmv(a, xs), spmv(a, x))
+        assert spmv(a, xs).flags.c_contiguous
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("matrix", ["stiffness", "long_row"])
     def test_inf_operand_reaches_only_rows_that_read_it(self, cube2_asm,
@@ -291,3 +307,25 @@ class TestGmres:
     def test_invalid_rtol(self):
         with pytest.raises(InvalidParameterError):
             gmres(lambda x: x, np.ones(2), rtol=0.0)
+
+    @pytest.mark.parametrize("kw", [dict(restart=0), dict(restart=-3),
+                                    dict(restart=2.5), dict(rtol=np.nan),
+                                    dict(rtol=np.inf),
+                                    dict(rtol=np.array([1e-8, 1e-8]))],
+                             ids=["restart_0", "restart_negative",
+                                  "restart_float", "rtol_nan", "rtol_inf",
+                                  "rtol_array"])
+    def test_bad_arguments_rejected_before_any_application(self, kw):
+        # with restart=0 no cycle made progress, so the solve never ended:
+        # the operator stops it after 1000 applications instead
+        calls = []
+
+        def double(x):
+            calls.append(1)
+            if len(calls) > 1000:
+                raise RuntimeError("operator applied 1000 times")
+            return 2.0 * x
+
+        with pytest.raises(InvalidParameterError):
+            gmres(double, np.ones(4), **kw)
+        assert calls == []

@@ -29,7 +29,12 @@ class TestConfigs:
             IntegratorConfig(scheme="RK4", k=1e-3)
 
     @pytest.mark.parametrize("kw", [dict(theta=-0.1), dict(theta=1.1),
-                                    dict(k=0.0), dict(alpha=-1.0)])
+                                    dict(k=0.0), dict(alpha=-1.0),
+                                    dict(k=np.nan), dict(k=np.inf),
+                                    dict(alpha=np.nan), dict(alpha=np.inf),
+                                    dict(lin_tol=np.nan), dict(lin_tol=-1.0),
+                                    dict(lin_tol=0.0), dict(k="1e-3"),
+                                    dict(theta=np.array([0.5, 0.5]))])
     def test_bad_parameters(self, kw):
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(scheme="PC1", k=kw.pop("k", 1e-3), **kw)
@@ -39,7 +44,11 @@ class TestConfigs:
         lambda: EffectiveField(ell_ex=np.inf),
         lambda: Uniaxial(np.nan, E3),
         lambda: Uniaxial(np.inf, E3),
-    ], ids=["ell_ex_nan", "ell_ex_inf", "uniaxial_c_nan", "uniaxial_c_inf"])
+        lambda: EffectiveField(ell_ex=np.array([1.0, 2.0])),
+        lambda: Uniaxial(np.array([1.0, 2.0]), E3),
+        lambda: Uniaxial("1", E3),
+    ], ids=["ell_ex_nan", "ell_ex_inf", "uniaxial_c_nan", "uniaxial_c_inf",
+            "ell_ex_array", "uniaxial_c_array", "uniaxial_c_string"])
     def test_bad_field_constants(self, make):
         with pytest.raises(InvalidParameterError):
             make()
@@ -226,6 +235,39 @@ class TestPredictors:
         d = v2 - v
         res = np.sqrt(inner_l2(cube2_asm.mass, d, d))
         assert res <= 10 * cfg.lin_tol
+
+    def test_full_predictor_over_many_cycles_matches_dense_solve(self,
+                                                                 cube4_asm):
+        # a stiff step needs many GMRES cycles on the one Krylov basis; the
+        # dense 3N operator is built node-major from dense matrices, with
+        # ell_ex != 1 so the implicit P_h pi term carries its 1/ell_ex^2
+        asm = cube4_asm
+        n = asm.n
+        ell, c, axis = 0.5, 3.0, np.array([2.0, -1.0, 2.0]) / 3.0
+        fld = EffectiveField(ell_ex=ell, uniaxial=Uniaxial(c, axis))
+        cfg = IntegratorConfig(scheme="PC1", k=0.2, theta=0.5, alpha=0.5)
+        m = random_unit_field(n, 67)
+        v, iters = predictor_full(m, cfg, fld, asm, implicit_pi=True)
+        assert iters > 10
+        assert v.shape == (n, 3) and v.flags.c_contiguous
+
+        lap = -asm.stiffness.toarray() / asm.beta[:, None]
+        ph_pi_dense = np.kron(asm.mass.toarray() / asm.beta[:, None],
+                              c * np.outer(axis, axis))
+        mx = np.zeros((3 * n, 3 * n))
+        for z, (m0, m1, m2) in enumerate(m):
+            mx[3 * z:3 * z + 3, 3 * z:3 * z + 3] = [[0.0, -m2, m1],
+                                                    [m2, 0.0, -m0],
+                                                    [-m1, m0, 0.0]]
+        cross = mx + cfg.alpha * mx @ mx
+        lap3 = np.kron(lap, np.eye(3))
+        a = ((1 + cfg.alpha ** 2) * np.eye(3 * n) + ell ** 2 * cfg.theta
+             * cfg.k * cross @ (lap3 + ph_pi_dense / ell ** 2))
+        b = -cross @ (ell ** 2 * lap3 @ m.reshape(-1))
+        x = v.reshape(-1)
+        assert np.linalg.norm(b - a @ x) <= cfg.lin_tol * np.linalg.norm(b)
+        v_dense = np.linalg.solve(a, b).reshape(n, 3)
+        assert np.abs(v - v_dense).max() <= 1e-10 * np.abs(v_dense).max()
 
     @pytest.mark.parametrize("c,k", [(10.0, 0.5), (50.0, 0.2)])
     def test_fully_implicit_stiff_anisotropy_converges(self, cube2_asm, c, k):
