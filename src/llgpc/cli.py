@@ -94,7 +94,7 @@ def _build_parser():
     return ap
 
 
-def _make_mesh(args):
+def _mesh_from_args(args):
     if args.mesh_file is not None:
         return load_mesh(args.mesh_file.read_text())
     if args.mesh_n is None:
@@ -125,7 +125,7 @@ def _emit(text: str, out):
 
 
 def _cmd_mesh(args):
-    mesh = _make_mesh(args)
+    mesh = _mesh_from_args(args)
     asm = build_assemblies(mesh)
     print(f"vertices: {mesh.n_vertices}")
     print(f"tets: {mesh.n_tets}")
@@ -144,7 +144,7 @@ def _cmd_mesh(args):
 
 
 def _cmd_run(args):
-    asm = build_assemblies(_make_mesh(args))
+    asm = build_assemblies(_mesh_from_args(args))
     cfg = RunConfig(integrator=_make_integrator(args), field=_make_field(args),
                     t_end=args.T, stride=args.stride, relax=args.relax,
                     monitor_stability=args.monitor_stability or
@@ -162,7 +162,7 @@ def _cmd_run(args):
 
 
 def _cmd_converge(args):
-    asm = build_assemblies(_make_mesh(args))
+    asm = build_assemblies(_mesh_from_args(args))
     m0 = init_state(asm.mesh, args.init, seed=args.seed)
     results = run_convergence_study(
         asm, _make_field(args), args.schemes, args.ks, args.k_ref, args.T,
@@ -175,7 +175,7 @@ def _cmd_converge(args):
 
 
 def _cmd_sweep(args):
-    asm = build_assemblies(_make_mesh(args))
+    asm = build_assemblies(_mesh_from_args(args))
     m0 = init_state(asm.mesh, args.init, seed=args.seed)
     cells = run_stability_sweep(asm, _make_field(args), args.scheme,
                                 args.thetas, args.ks, m0, alpha=args.alpha,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InvalidParameterError, ProjectionDegenerateError
+from .errors import InvalidParameterError, ProjectionDegenerateError
 from .linalg import CsrMatrix, coo_pattern, spmv
 from .mesh import Mesh
 
@@ -19,17 +19,14 @@ PROJECTION_DELTA_MIN = 1e-12
 
 
 def _p1_gradients(mesh: Mesh):
-    """Constant barycentric gradients per tet: (T, 4, 3), plus volumes."""
+    """Constant barycentric gradients per tet: (T, 4, 3)."""
     x = mesh.vertices[mesh.tets]
     e = x[:, 1:] - x[:, :1]          # (T, 3, 3) rows x1-x0, x2-x0, x3-x0
-    vols = np.linalg.det(e) / 6.0
-    if np.any(vols <= 0):
-        raise GeometryError("mesh contains a non-positive-volume tet")
     inv_t = np.linalg.inv(e)          # columns of inv(e) = gradients^T
     grads = np.empty((mesh.n_tets, 4, 3))
     grads[:, 1:, :] = np.transpose(inv_t, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads, vols
+    return grads
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,10 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     A and M share one sparsity pattern, built once from the tet triplets;
     each sums its triplets per entry from 0.0 in tet order.
     """
-    n, tets = mesh.n_vertices, mesh.tets
+    n, tets, vols = mesh.n_vertices, mesh.tets, mesh.volumes
     indptr, indices, entry = coo_pattern(np.repeat(tets, 4, axis=1).ravel(),
                                          np.tile(tets, (1, 4)).ravel(), (n, n))
-    grads, vols = _p1_gradients(mesh)  # after the pattern: lower peak memory
+    grads = _p1_gradients(mesh)  # after the pattern: lower peak memory
 
     def csr(ke):
         data = np.bincount(entry, weights=ke.reshape(-1),

@@ -26,6 +26,11 @@ TRACE_COLUMNS = ("ell", "t", "energy", "grad_sq", "mean_mx", "mean_my",
                  "wall_time")
 
 
+def _num(x) -> str:
+    """CSV text of a real: the Python float repr, also for numpy scalars."""
+    return repr(float(x))
+
+
 def init_state(mesh: Mesh, kind: str, seed: int = 0) -> np.ndarray:
     """Initial unit field: 'uniform' (+e1), 'random', or 'hedgehog'.
 
@@ -79,10 +84,10 @@ class TraceRow:
     wall_time: float
 
     def as_list(self):
-        return [self.ell, repr(self.t), repr(self.energy), repr(self.grad_sq),
-                repr(self.mean_mx), repr(self.mean_my), repr(self.mean_mz),
-                repr(self.max_unit_err), self.predictor_iterations,
-                repr(self.wall_time)]
+        return [self.ell, _num(self.t), _num(self.energy), _num(self.grad_sq),
+                _num(self.mean_mx), _num(self.mean_my), _num(self.mean_mz),
+                _num(self.max_unit_err), self.predictor_iterations,
+                _num(self.wall_time)]
 
 
 @dataclass(frozen=True)
@@ -304,9 +309,14 @@ def convergence_to_csv(results: Sequence[ConvergenceResult]) -> str:
     w.writerow(["scheme", "k", "h1_error", "slope", "wall_time"])
     for r in results:
         for k, e in zip(r.ks, r.errors):
-            w.writerow([r.scheme, repr(k), repr(e), repr(r.slope),
-                        repr(r.wall_time)])
+            w.writerow([r.scheme, _num(k), _num(e), _num(r.slope),
+                        _num(r.wall_time)])
     return buf.getvalue()
+
+
+# sweep cell status of each run status
+_CELL_STATUS = {"relaxed": "stable", "completed": "inconclusive",
+               "unstable": "unstable", "failed": "failed"}
 
 
 @dataclass
@@ -344,25 +354,11 @@ def run_stability_sweep(asm: Assemblies, field_cfg: EffectiveField,
             try:
                 res = run_simulation(asm, cfg, m0)
             except LlgpcError:
-                cells.append(SweepCell(theta=theta, k=k, stable=False,
-                                       status="failed", steps_taken=0))
-                continue
-            if res.status == "relaxed":
-                cells.append(SweepCell(theta=theta, k=k, stable=True,
-                                       status="stable",
-                                       steps_taken=res.state.ell))
-            elif res.status == "unstable":
-                cells.append(SweepCell(theta=theta, k=k, stable=False,
-                                       status="unstable",
-                                       steps_taken=res.state.ell))
-            elif res.status == "failed":
-                cells.append(SweepCell(theta=theta, k=k, stable=False,
-                                       status="failed",
-                                       steps_taken=res.state.ell))
+                status, steps = "failed", 0
             else:
-                cells.append(SweepCell(theta=theta, k=k, stable=False,
-                                       status="inconclusive",
-                                       steps_taken=res.state.ell))
+                status, steps = _CELL_STATUS[res.status], res.state.ell
+            cells.append(SweepCell(theta=theta, k=k, stable=status == "stable",
+                                   status=status, steps_taken=steps))
     return cells
 
 
@@ -371,7 +367,7 @@ def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["theta", "k", "stable", "status", "steps_taken"])
     for c in cells:
-        w.writerow([repr(c.theta), repr(c.k), int(c.stable), c.status,
+        w.writerow([_num(c.theta), _num(c.k), int(c.stable), c.status,
                     c.steps_taken])
     return buf.getvalue()
 

@@ -183,7 +183,7 @@ def _norm(x):
     return math.sqrt(float(np.dot(x, x)))
 
 
-def gmres(apply, b, x0=None, rtol=1e-12, restart=10, maxit=None):
+def gmres(apply, b, rtol=1e-12, restart=10, maxit=None):
     """Restarted GMRES (Saad & Schultz 1986) for a square operator given as
     a callback.
 
@@ -205,19 +205,17 @@ def gmres(apply, b, x0=None, rtol=1e-12, restart=10, maxit=None):
     if maxit is None:
         maxit = max(10 * n, 100)
     bnorm = _norm(b)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(n)
     if bnorm == 0.0:
-        return SolveResult(x=np.zeros(n), iterations=0, residual=0.0)
+        return SolveResult(x=x, iterations=0, residual=0.0)
     # an inf tol would accept any residual, an overflowed one included
     if not math.isfinite(bnorm):
         raise NoConvergenceError("GMRES right-hand side norm is not finite",
                                  best_x=x, residual=bnorm)
     tol = rtol * bnorm
 
-    # with x0 = None the initial residual is b itself; after that, each
-    # restart reuses the residual computed at the end of the previous cycle
-    r = b if x0 is None else b - apply(x)
-    beta = best_res = _norm(r)
+    r = b  # the residual of the zero start; restarts reuse the last one
+    beta = best_res = bnorm
     best_x = x.copy()
     total_iters = 0
     # every row a cycle reads is written first in that cycle

@@ -1,14 +1,17 @@
 """Structured tetrahedral meshes of boxes and a line-oriented text format.
 
-Cube meshes use the Kuhn 6-tet subdivision of every grid cell with the same
-cell diagonal everywhere.  The resulting triangulation is conforming,
-quasi-uniform, and all dihedral angles are at most pi/2, so the assembled
-stiffness matrix has nonpositive off-diagonal entries (checked at runtime
-by fem.check_angle_condition, never assumed).
+A Mesh computes and validates its geometry once, when it is constructed:
+one gather of the tet corners gives every signed volume (all must be
+positive) and the longest edge h_max.  Cube meshes use the Kuhn 6-tet
+subdivision of every grid cell with the same cell diagonal everywhere; the
+cell table is positively oriented by construction.  The resulting
+triangulation is conforming, quasi-uniform, and all dihedral angles are at
+most pi/2, so the assembled stiffness matrix has nonpositive off-diagonal
+entries (checked at runtime by fem.check_angle_condition, never assumed).
 """
 
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -19,12 +22,42 @@ from .errors import GeometryError, InvalidParameterError, ParseError
 class Mesh:
     """Tetrahedral triangulation: vertex coordinates plus 4-index cells.
 
-    All tets have strictly positive signed volume (consistent orientation).
+    Construction rejects non-finite coordinates and wrong shapes
+    (GeometryError), out-of-range indices (ParseError) and any tet whose
+    signed volume det(x1-x0, x2-x0, x3-x0)/6 is not positive
+    (GeometryError).  `volumes` and `h_max` come from that one check.
     """
 
     vertices: np.ndarray  # (N, 3) float64
     tets: np.ndarray      # (T, 4) int64
-    h_max: float
+    volumes: np.ndarray = field(init=False)  # (T,) signed volumes, all > 0
+    h_max: float = field(init=False)         # longest tet edge
+
+    def __post_init__(self):
+        vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
+        tets = np.ascontiguousarray(self.tets, dtype=np.int64)
+        if (vertices.shape[1:] != (3,) or tets.shape[1:] != (4,)
+                or not len(tets)):
+            raise GeometryError(f"need (N, 3) vertices and (T >= 1, 4) tets, "
+                                f"got {vertices.shape} and {tets.shape}")
+        n = vertices.shape[0]
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise GeometryError(f"vertex {bad} has a non-finite coordinate")
+        if tets.min() < 0 or tets.max() >= n:
+            raise ParseError(f"tet index out of range (mesh has {n} vertices)")
+        x = vertices[tets]
+        volumes = np.linalg.det(x[:, 1:] - x[:, :1]) / 6.0
+        if np.any(volumes <= 0.0):
+            bad = int(np.argmax(volumes <= 0.0))
+            raise GeometryError(
+                f"tet {bad} has non-positive volume {volumes[bad]:.3e}")
+        h_max = max(float(np.linalg.norm(x[:, i] - x[:, j], axis=1).max())
+                    for i, j in combinations(range(4), 2))
+        for name, value in (("vertices", vertices), ("tets", tets),
+                            ("volumes", volumes), ("h_max", h_max)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vertices(self) -> int:
@@ -35,48 +68,10 @@ class Mesh:
         return int(self.tets.shape[0])
 
 
-def tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Signed volumes det(x1-x0, x2-x0, x3-x0)/6 for every tet."""
-    x = vertices[tets]
-    e = x[:, 1:] - x[:, :1]
-    return np.linalg.det(e) / 6.0
-
-
-def _max_edge_length(vertices, tets):
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    h = 0.0
-    x = vertices[tets]
-    for i, j in pairs:
-        d = np.linalg.norm(x[:, i] - x[:, j], axis=1)
-        h = max(h, float(d.max()))
-    return h
-
-
-def make_mesh(vertices, tets, fix_orientation=False) -> Mesh:
-    """Validate coordinates, connectivity and volumes and compute h_max."""
-    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-    tets = np.ascontiguousarray(tets, dtype=np.int64)
-    n = vertices.shape[0]
-    finite = np.isfinite(vertices).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise GeometryError(f"vertex {bad} has a non-finite coordinate")
-    if tets.size and (tets.min() < 0 or tets.max() >= n):
-        raise ParseError(f"tet index out of range (mesh has {n} vertices)")
-    vols = tet_volumes(vertices, tets)
-    if fix_orientation:
-        flip = vols < 0
-        tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
-        vols = np.abs(vols)
-    if np.any(vols <= 0.0):
-        bad = int(np.argmax(vols <= 0.0))
-        raise GeometryError(f"tet {bad} has non-positive volume {vols[bad]:.3e}")
-    return Mesh(vertices=vertices, tets=tets,
-                h_max=_max_edge_length(vertices, tets))
-
-
 # The six Kuhn tets of the unit cell: paths from (0,0,0) to (1,1,1) adding
-# one coordinate axis per step, one tet per axis permutation.
+# one coordinate axis per step, one tet per axis permutation.  The path's
+# edge matrix reduces to the permutation matrix, so its volume is
+# sign(perm)/6: an odd permutation swaps its last two corners.
 _KUHN_PATHS = []
 for perm in sorted(permutations(range(3))):
     corners = [np.zeros(3, dtype=np.int64)]
@@ -84,6 +79,8 @@ for perm in sorted(permutations(range(3))):
         nxt = corners[-1].copy()
         nxt[axis] += 1
         corners.append(nxt)
+    if sum(a > b for a, b in combinations(perm, 2)) % 2:
+        corners[2], corners[3] = corners[3], corners[2]
     _KUHN_PATHS.append(np.array(corners))
 
 
@@ -118,7 +115,7 @@ def build_cube_mesh(n: int, edge_length: float, center=(0.0, 0.0, 0.0)) -> Mesh:
         for corner in range(4):
             di, dj, dk = path[corner]
             tets[t::6, corner] = vid(ci + di, cj + dj, ck + dk)
-    return make_mesh(vertices, tets, fix_orientation=True)
+    return Mesh(vertices, tets)
 
 
 def save_mesh(mesh: Mesh) -> str:
@@ -171,4 +168,4 @@ def load_mesh(text: str) -> Mesh:
             tets[i] = [int(p) for p in parts]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad index") from exc
-    return make_mesh(vertices, tets, fix_orientation=False)
+    return Mesh(vertices, tets)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from llgpc.fem import build_assemblies
-from llgpc.mesh import build_cube_mesh, make_mesh
+from llgpc.mesh import Mesh, build_cube_mesh
 
 REFERENCE_TET_VERTICES = np.array([
     [0.0, 0.0, 0.0],
@@ -14,7 +14,7 @@ REFERENCE_TET_VERTICES = np.array([
 
 @pytest.fixture(scope="session")
 def reference_tet():
-    return make_mesh(REFERENCE_TET_VERTICES, np.array([[0, 1, 2, 3]]))
+    return Mesh(REFERENCE_TET_VERTICES, np.array([[0, 1, 2, 3]]))
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,17 @@ def cube2_asm():
 @pytest.fixture(scope="session")
 def cube4_asm():
     return build_assemblies(build_cube_mesh(4, 1.0))
+
+
+def oriented_mesh(vertices, tets):
+    """Mesh of `tets` with columns 2 and 3 swapped in every tet of negative
+    signed volume, so that every tet is positively oriented."""
+    vertices = np.asarray(vertices, dtype=np.float64)
+    tets = np.array(tets, dtype=np.int64)
+    x = vertices[tets]
+    flip = np.linalg.det(x[:, 1:] - x[:, :1]) < 0
+    tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
+    return Mesh(vertices, tets)
 
 
 def random_unit_field(n, seed):

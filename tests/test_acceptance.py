@@ -18,7 +18,7 @@ from llgpc.harness import (RunConfig, init_state, make_cube_assemblies,
 from llgpc.llg import (EffectiveField, IntegratorConfig, SimState,
                        TangencyRecorder, Uniaxial, corrector_pc2,
                        predictor_full, predictor_tangent, step)
-from llgpc.mesh import build_cube_mesh, make_mesh
+from llgpc.mesh import Mesh, build_cube_mesh
 
 from conftest import REFERENCE_TET_VERTICES, random_unit_field
 
@@ -80,7 +80,7 @@ def equivalence_worst(recorder):
 @pytest.fixture(scope="module")
 def dense_oracle_worst(recorder):
     single = build_assemblies(
-        make_mesh(REFERENCE_TET_VERTICES, np.array([[0, 1, 2, 3]])))
+        Mesh(REFERENCE_TET_VERTICES, np.array([[0, 1, 2, 3]])))
     cube1 = make_cube_assemblies(1)
     worst_pred = 0.0
     worst_corr = 0.0

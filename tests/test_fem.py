@@ -8,9 +8,9 @@ from llgpc.fem import (apply_Ph, build_assemblies, check_angle_condition,
                        discrete_laplacian, grad_sq, inner_h, inner_l2,
                        nodal_cross, nodal_project_sphere, norm_h, norms)
 from llgpc.linalg import spmv
-from llgpc.mesh import build_cube_mesh, make_mesh, tet_volumes
+from llgpc.mesh import Mesh, build_cube_mesh
 
-from conftest import random_unit_field
+from conftest import oriented_mesh, random_unit_field
 
 
 class TestLumpedMass:
@@ -27,16 +27,15 @@ class TestLumpedMass:
         center = int(np.argmin(np.linalg.norm(mesh.vertices, axis=1)))
         incident = [t for t in range(mesh.n_tets)
                     if center in mesh.tets[t]]
-        vols = tet_volumes(mesh.vertices, mesh.tets)
         assert cube2_asm.beta[center] == pytest.approx(
-            vols[incident].sum() / 4.0)
+            mesh.volumes[incident].sum() / 4.0)
 
 
 def perturbed_cube3():
     mesh = build_cube_mesh(3, 1.0)
     rng = np.random.Generator(np.random.Philox(5))
     shift = rng.uniform(-0.03, 0.03, mesh.vertices.shape)
-    return make_mesh(mesh.vertices + shift, mesh.tets)
+    return Mesh(mesh.vertices + shift, mesh.tets)
 
 
 class TestAssembly:
@@ -47,8 +46,8 @@ class TestAssembly:
 
     def test_mass_equals_dense_accumulation_in_tet_order(self):
         mesh = perturbed_cube3()
-        vols = tet_volumes(mesh.vertices, mesh.tets)
-        ke = vols[:, None, None] * ((np.ones((4, 4)) + np.eye(4)) / 20.0)
+        ke = (mesh.volumes[:, None, None]
+              * ((np.ones((4, 4)) + np.eye(4)) / 20.0))
         dense = np.zeros((mesh.n_vertices, mesh.n_vertices))
         for t, tet in enumerate(mesh.tets):
             np.add.at(dense, (tet[:, None], tet[None, :]), ke[t])
@@ -265,7 +264,7 @@ class TestAngleCondition:
     def test_regular_tet_passes(self):
         verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                          dtype=float)
-        mesh = make_mesh(verts, np.array([[0, 1, 2, 3]]), fix_orientation=True)
+        mesh = oriented_mesh(verts, [[0, 1, 2, 3]])
         assert check_angle_condition(build_assemblies(mesh).stiffness).passed
 
     def test_obtuse_sliver_pair_fails(self):
@@ -274,8 +273,7 @@ class TestAngleCondition:
             [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0],
             [0.5, 0.2, 0.05], [0.5, 0.2, -0.05],
         ])
-        mesh = make_mesh(verts, np.array([[0, 1, 2, 3], [0, 2, 1, 4]]),
-                         fix_orientation=True)
+        mesh = oriented_mesh(verts, [[0, 1, 2, 3], [0, 2, 1, 4]])
         stiffness = build_assemblies(mesh).stiffness
         report = check_angle_condition(stiffness)
         assert not report.passed
@@ -287,7 +285,7 @@ class TestAngleCondition:
         rng = np.random.Generator(np.random.Philox(9))
         cube = build_cube_mesh(2, 1.0)
         verts = cube.vertices + 0.1 * rng.normal(size=cube.vertices.shape)
-        mesh = make_mesh(verts, cube.tets, fix_orientation=True)
+        mesh = oriented_mesh(verts, cube.tets)
         stiffness = build_assemblies(mesh).stiffness
         report = check_angle_condition(stiffness)
         assert len(report.offending) == 10

@@ -215,6 +215,27 @@ class TestCsvOutput:
         assert lines[0] == "theta,k,stable,status,steps_taken"
         assert len(lines) == 2
 
+    def test_numpy_scalars_written_as_floats(self):
+        asm = make_cube_assemblies(1)
+        m0 = init_state(asm.mesh, "random", seed=9)
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2",
+                                                    k=np.float64(0.25)),
+                        field=EffectiveField(), t_end=0.5)
+        trace = trace_to_csv(run_simulation(asm, cfg, m0).trace)
+        assert [row.split(",")[1] for row in trace.split("\n")[1:-1]] == [
+            "0.0", "0.25", "0.5"]
+        sweep = sweep_to_csv(run_stability_sweep(
+            asm, EffectiveField(), "PC2", np.array([0.5]), np.array([0.25]),
+            m0, t_cap=0.5))
+        assert sweep.split("\n")[1].startswith("0.5,0.25,")
+        conv = convergence_to_csv(run_convergence_study(
+            asm, EffectiveField(), ["PC2"], np.array([2e-3, 1e-3]),
+            np.float64(1e-3), 4e-3, m0, theta=np.float64(0.5)))
+        assert [row.split(",")[1] for row in conv.split("\n")[1:-1]] == [
+            "0.002", "0.001"]
+        for text in (trace, sweep, conv):
+            assert "np." not in text
+
 
 class TestConvergence:
     def test_reference_scheme_at_k_ref_gives_zero_error(self):
@@ -287,3 +308,24 @@ class TestStabilitySweep:
                                     [0.0, 1.0], [1e-3, 2e-3], m0, t_cap=1e-2)
         assert [(c.theta, c.k) for c in cells] == [
             (0.0, 1e-3), (0.0, 2e-3), (1.0, 1e-3), (1.0, 2e-3)]
+
+    def test_cell_status_of_every_run_outcome(self, monkeypatch):
+        asm = make_cube_assemblies(1)
+        m0 = init_state(asm.mesh, "uniform")
+        # k -> (run status, steps), None for a run that raises
+        outcomes = {1e-3: ("relaxed", 3), 2e-3: ("completed", 5),
+                    3e-3: ("unstable", 2), 4e-3: ("failed", 4), 5e-3: None}
+
+        def fake_run(asm_, cfg, m0_):
+            if outcomes[cfg.integrator.k] is None:
+                raise InvalidParameterError("m0 must be a unit field")
+            status, ell = outcomes[cfg.integrator.k]
+            return harness.RunResult(state=llg.SimState(ell=ell, m_curr=m0_),
+                                     trace=[], status=status)
+
+        monkeypatch.setattr(harness, "run_simulation", fake_run)
+        cells = run_stability_sweep(asm, EffectiveField(), "PC2", [0.5],
+                                    list(outcomes), m0, t_cap=1e-2)
+        assert [(c.status, c.stable, c.steps_taken) for c in cells] == [
+            ("stable", True, 3), ("inconclusive", False, 5),
+            ("unstable", False, 2), ("failed", False, 4), ("failed", False, 0)]

@@ -222,7 +222,7 @@ class TestGmres:
 
     def test_identity_from_zero_guess_applies_at_most_twice(self):
         # one Arnoldi step plus the final residual; the initial residual of
-        # x0 = 0 is b itself and needs no application
+        # the zero start is b itself and needs no application
         calls = []
 
         def identity(x):

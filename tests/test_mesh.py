@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from llgpc.errors import GeometryError, InvalidParameterError, ParseError
-from llgpc.mesh import (Mesh, build_cube_mesh, load_mesh, make_mesh, save_mesh,
-                        tet_volumes)
+from llgpc.mesh import Mesh, build_cube_mesh, load_mesh, save_mesh
+
+from conftest import oriented_mesh
+
+UNIT_TET = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 
 
 def face_counts(mesh: Mesh) -> np.ndarray:
@@ -21,7 +24,14 @@ class TestBuildCubeMesh:
         mesh = build_cube_mesh(1, 1.0, center=(0.5, 0.5, 0.5))
         assert mesh.n_vertices == 8
         assert mesh.n_tets == 6
-        assert tet_volumes(mesh.vertices, mesh.tets).sum() == pytest.approx(1.0)
+        assert mesh.volumes.sum() == pytest.approx(1.0)
+
+    def test_n1_tets_pinned(self):
+        # corner (i, j, k) of the cell has index i + 2 j + 4 k; one Kuhn path
+        # per axis permutation, odd ones with their last two corners swapped
+        assert build_cube_mesh(1, 1.0).tets.tolist() == [
+            [0, 1, 3, 7], [0, 1, 7, 5], [0, 2, 7, 3],
+            [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 7, 6]]
 
     def test_n2_counts(self):
         mesh = build_cube_mesh(2, 1.0)
@@ -31,7 +41,7 @@ class TestBuildCubeMesh:
     @pytest.mark.parametrize("n,edge", [(1, 1.0), (2, 1.0), (3, 2.5), (4, 0.4)])
     def test_volume_partition(self, n, edge):
         mesh = build_cube_mesh(n, edge)
-        vols = tet_volumes(mesh.vertices, mesh.tets)
+        vols = mesh.volumes
         assert np.all(vols > 0)
         assert abs(vols.sum() - edge ** 3) <= 1e-13 * edge ** 3
 
@@ -64,13 +74,13 @@ class TestMakeMesh:
     def test_index_out_of_range(self):
         verts = np.zeros((4, 3))
         with pytest.raises(ParseError):
-            make_mesh(verts, np.array([[0, 1, 2, 7]]))
+            Mesh(verts, np.array([[0, 1, 2, 7]]))
 
     def test_degenerate_tet_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]],
                          dtype=float)
         with pytest.raises(GeometryError):
-            make_mesh(verts, np.array([[0, 1, 2, 3]]))
+            Mesh(verts, np.array([[0, 1, 2, 3]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_rejected(self, bad):
@@ -78,16 +88,33 @@ class TestMakeMesh:
                          dtype=float)
         verts[2, 1] = bad
         with pytest.raises(GeometryError):
-            make_mesh(verts, np.array([[0, 1, 2, 3]]))
+            Mesh(verts, np.array([[0, 1, 2, 3]]))
         text = f"tetmesh 4 1\n0 0 0\n1 0 0\n0 {bad!r} 0\n0 0 1\n0 1 2 3\n"
         with pytest.raises(GeometryError):
             load_mesh(text)
 
     def test_orientation_fix(self):
-        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                         dtype=float)
-        mesh = make_mesh(verts, np.array([[0, 1, 3, 2]]), fix_orientation=True)
-        assert tet_volumes(mesh.vertices, mesh.tets)[0] > 0
+        mesh = oriented_mesh(UNIT_TET, [[0, 1, 3, 2]])
+        assert mesh.tets.tolist() == [[0, 1, 2, 3]]
+        assert mesh.volumes[0] > 0
+
+    def test_volumes_and_h_max(self):
+        mesh = Mesh(UNIT_TET, np.array([[0, 1, 2, 3]]))
+        assert mesh.volumes.tolist() == [1.0 / 6.0]
+        assert mesh.h_max == np.sqrt(2.0)
+
+    def test_inverted_tet_rejected(self):
+        with pytest.raises(GeometryError, match="tet 1 has non-positive"):
+            Mesh(UNIT_TET, np.array([[0, 1, 2, 3], [0, 1, 3, 2]]))
+
+    @pytest.mark.parametrize("verts,tets", [
+        (UNIT_TET[:, :2], [[0, 1, 2, 3]]),
+        (UNIT_TET, [[0, 1, 2]]),
+        (UNIT_TET, np.zeros((0, 4), dtype=np.int64)),
+    ])
+    def test_bad_shapes_rejected(self, verts, tets):
+        with pytest.raises(GeometryError):
+            Mesh(verts, np.asarray(tets))
 
 
 class TestTextFormat:
@@ -118,7 +145,7 @@ class TestTextFormat:
         # Kuhn tet, whose heights are at least 70% of it, positive
         shift = data.draw(hnp.arrays(np.float64, cube.vertices.shape,
                                      elements=st.floats(-0.05, 0.05)))
-        mesh = make_mesh(cube.vertices + shift * (edge / n), cube.tets)
+        mesh = Mesh(cube.vertices + shift * (edge / n), cube.tets)
         back = load_mesh(save_mesh(mesh))
         assert back.vertices.tobytes() == mesh.vertices.tobytes()
         assert np.array_equal(back.tets, mesh.tets)
