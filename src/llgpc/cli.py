@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, LlgpcError, ParseError
+from .errors import (ConfigError, GeometryError, InvalidParameterError,
+                     LlgpcError, ParseError)
 from .fem import build_assemblies, check_angle_condition
 from .harness import (RunConfig, convergence_to_csv, init_state,
                       run_convergence_study, run_simulation,
@@ -193,7 +194,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidParameterError, ParseError, OSError) as exc:
+    except (ConfigError, GeometryError, InvalidParameterError, ParseError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LlgpcError as exc:

@@ -13,12 +13,13 @@ class InvalidParameterError(LlgpcError, ValueError):
     """A function argument violates its documented precondition."""
 
 
-def check_real(x, what: str, positive: bool = False) -> None:
-    """Raise InvalidParameterError unless x is a finite real number that is
-    >= 0, or > 0 with positive; arrays, strings and NaN are rejected."""
+def check_real(x, what: str, positive: bool = False,
+               error: type = InvalidParameterError) -> None:
+    """Raise `error` unless x is a finite real number that is >= 0, or > 0
+    with positive; arrays, strings and NaN are rejected."""
     if not (isinstance(x, numbers.Real) and math.isfinite(x) and x >= 0
             and (x > 0 or not positive)):
-        raise InvalidParameterError(
+        raise error(
             f"{what} must be a finite {'positive' if positive else '>= 0'} "
             f"real number, got {x!r}")
 
@@ -50,13 +51,12 @@ class ProjectionDegenerateError(LlgpcError):
 class NoConvergenceError(LlgpcError):
     """An iterative solver exhausted its iteration budget.
 
-    Carries the best iterate seen so far and its residual so callers can
-    diagnose or salvage the run.
+    Carries the best residual seen and the iteration count, so callers can
+    diagnose the run; no iterate is kept.
     """
 
-    def __init__(self, message: str, best_x=None, residual: float = float("nan"),
+    def __init__(self, message: str, residual: float = float("nan"),
                  iterations: int = 0):
-        self.best_x = best_x
         self.residual = residual
         self.iterations = iterations
         super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e})")

@@ -16,6 +16,7 @@ from .mesh import Mesh
 
 UNIT_TOL = 1e-9
 PROJECTION_DELTA_MIN = 1e-12
+ANGLE_SLACK = 1e-13
 
 
 def _p1_gradients(mesh: Mesh):
@@ -29,7 +30,7 @@ def _p1_gradients(mesh: Mesh):
     return grads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assemblies:
     """Mesh-constant objects shared by every scheme and experiment."""
 
@@ -138,9 +139,9 @@ def nodal_project_sphere(u: np.ndarray) -> np.ndarray:
     return u / mods[:, None]
 
 
-def is_unit(u: np.ndarray, tol: float = UNIT_TOL) -> bool:
+def is_unit(u: np.ndarray) -> bool:
     mods = np.linalg.norm(u, axis=1)
-    return bool(np.max(np.abs(mods - 1.0)) <= tol)
+    return bool(np.max(np.abs(mods - 1.0)) <= UNIT_TOL)
 
 
 @dataclass(frozen=True)
@@ -150,15 +151,14 @@ class AngleConditionReport:
     offending: tuple  # ((row, col, value), ...) worst first, at most 10
 
 
-def check_angle_condition(stiffness: CsrMatrix,
-                          slack: float = 1e-13) -> AngleConditionReport:
-    """Pass iff every off-diagonal stiffness entry is <= slack."""
+def check_angle_condition(stiffness: CsrMatrix) -> AngleConditionReport:
+    """Pass iff every off-diagonal stiffness entry is <= ANGLE_SLACK."""
     rows = stiffness.rows
     off = rows != stiffness.indices
     rows = rows[off]
     cols = stiffness.indices[off]
     vals = stiffness.data[off]
-    bad = np.flatnonzero(vals > slack)
+    bad = np.flatnonzero(vals > ANGLE_SLACK)
     # stable sort keeps stored order among equal values
     worst_first = bad[np.argsort(-vals[bad], kind="stable")]
     return AngleConditionReport(

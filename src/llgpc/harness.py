@@ -7,6 +7,7 @@ per (scheme, k) pair; the stability sweep one row per (theta, k) cell.
 
 import csv
 import io
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -14,12 +15,13 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError, LlgpcError,
-                     SolverFailure)
+                     SolverFailure, check_real)
 from .fem import UNIT_TOL, Assemblies, build_assemblies, grad_sq, norms
 from .llg import (EffectiveField, IntegratorConfig, SimState, energy, step)
 from .mesh import Mesh, build_cube_mesh
 
 RELAX_GRAD_SQ_TOL = 1e-8
+ORDER_POINTS = 3  # finest step sizes in the convergence-order fit
 
 TRACE_COLUMNS = ("ell", "t", "energy", "grad_sq", "mean_mx", "mean_my",
                  "mean_mz", "max_unit_err", "predictor_iterations",
@@ -40,6 +42,8 @@ def init_state(mesh: Mesh, kind: str, seed: int = 0) -> np.ndarray:
     origin with m = e3 at the origin itself; the origin must lie strictly
     inside the mesh bounding box.
     """
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     n = mesh.n_vertices
     if kind == "uniform":
         m = np.zeros((n, 3))
@@ -102,10 +106,10 @@ class RunConfig:
     monitor_stability: bool = False
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
+        check_real(self.t_end, "t_end", positive=True, error=ConfigError)
+        if not (isinstance(self.stride, numbers.Integral) and self.stride >= 1):
+            raise ConfigError(f"stride must be an integer >= 1, "
+                              f"got {self.stride!r}")
         n_steps = self.t_end / self.integrator.k
         if abs(n_steps - round(n_steps)) > 1e-9 * max(n_steps, 1.0):
             raise ConfigError("t_end must be an integer multiple of k")
@@ -162,6 +166,9 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
     k = cfg.integrator.k
     t0 = time.perf_counter()
     state = SimState(ell=0, m_curr=np.array(m0, dtype=np.float64))
+    if state.m_curr.shape != (asm.n, 3):
+        raise InvalidParameterError(f"m0 must have shape ({asm.n}, 3), "
+                                    f"got {state.m_curr.shape}")
     mods = np.linalg.norm(state.m_curr, axis=1)
     z = int(np.argmax(np.abs(mods - 1.0)))  # worst node; the first NaN if any
     if not abs(mods[z] - 1.0) <= UNIT_TOL:  # also true for NaN and inf
@@ -171,6 +178,7 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
     trace = [_row(asm, cfg, state, t0, gsq_prev)]
     snap_steps = set()
     for ts in snapshot_times:
+        check_real(ts, "snapshot time", error=ConfigError)
         j = int(round(ts / k))
         if abs(j * k - ts) > 1e-9 * max(abs(ts), 1.0):
             raise ConfigError(f"snapshot time {ts} is not a multiple of k")
@@ -229,10 +237,10 @@ class ConvergenceResult:
     wall_time: float
 
 
-def estimated_order(ks: Sequence[float], errors: Sequence[float],
-                    points: int = 3) -> float:
-    """Least-squares slope of log(error) vs log(k) over the finest points."""
-    order = np.argsort(ks)[:points]
+def estimated_order(ks: Sequence[float], errors: Sequence[float]) -> float:
+    """Least-squares slope of log(error) vs log(k) over the ORDER_POINTS
+    finest step sizes."""
+    order = np.argsort(ks)[:ORDER_POINTS]
     k_sel = np.asarray(ks, dtype=float)[order]
     e_sel = np.asarray(errors, dtype=float)[order]
     if k_sel.size < 2 or np.any(e_sel <= 0.0):
@@ -254,8 +262,11 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     the maximum H1-norm difference over all its time nodes.  A run that
     fails raises its SolverFailure.
     """
+    check_real(k_ref, "k_ref", positive=True, error=ConfigError)
+    check_real(t_end, "t_end", positive=True, error=ConfigError)
     ks = sorted(set(float(k) for k in ks), reverse=True)
     for k in ks:
+        check_real(k, "k", positive=True, error=ConfigError)
         ratio = k / k_ref
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError(
@@ -342,9 +353,11 @@ def run_stability_sweep(asm: Assemblies, field_cfg: EffectiveField,
     their own status, also not stable.  Grid order is deterministic:
     thetas outer, ks inner, in the order given.
     """
+    check_real(t_cap, "t_cap", positive=True, error=ConfigError)
     cells = []
     for theta in thetas:
         for k in ks:
+            check_real(k, "k", positive=True, error=ConfigError)
             n_steps = int(np.ceil(t_cap / k))
             cfg = RunConfig(
                 integrator=IntegratorConfig(scheme=scheme, k=k, theta=theta,

@@ -6,15 +6,16 @@ without ever materializing a matrix.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError, NoConvergenceError, check_real
 
+RESTART = 10  # Arnoldi steps per GMRES cycle
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class CsrMatrix:
     """Compressed-row scalar matrix.
 
@@ -28,8 +29,8 @@ class CsrMatrix:
     data: np.ndarray
     n_rows: int
     n_cols: int
-    _ell: tuple = field(init=False, repr=False, compare=False)
-    _overflow: tuple = field(init=False, repr=False, compare=False)
+    _ell: tuple = field(init=False, repr=False)
+    _overflow: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.indptr.shape[0] != self.n_rows + 1:
@@ -183,27 +184,24 @@ def _norm(x):
     return math.sqrt(float(np.dot(x, x)))
 
 
-def gmres(apply, b, rtol=1e-12, restart=10, maxit=None):
+def gmres(apply, b, rtol=1e-12):
     """Restarted GMRES (Saad & Schultz 1986) for a square operator given as
     a callback.
 
-    Each cycle runs at most `restart` (10) Arnoldi steps with modified
+    Each cycle runs at most RESTART Arnoldi steps with modified
     Gram-Schmidt: short cycles keep the per-step orthogonalisation cheap,
     and the predictors' iteration counts hardly depend on the length.  The
     Krylov basis is allocated once per solve and reused by every cycle.
 
     Returns a SolveResult with ||b - A x|| <= rtol * ||b||.  Raises
-    NoConvergenceError carrying the best iterate if maxit is exhausted, and
-    at once if ||b|| or a residual is not finite.
+    NoConvergenceError, carrying the best residual and the iteration
+    count, once max(10 n, 100) iterations are spent, and at once if ||b||
+    or a residual is not finite.
     """
     check_real(rtol, "rtol", positive=True)
-    if not (isinstance(restart, numbers.Integral) and restart >= 1):
-        raise InvalidParameterError(f"restart must be an integer >= 1, "
-                                    f"got {restart!r}")
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    if maxit is None:
-        maxit = max(10 * n, 100)
+    maxit = max(10 * n, 100)
     bnorm = _norm(b)
     x = np.zeros(n)
     if bnorm == 0.0:
@@ -211,23 +209,22 @@ def gmres(apply, b, rtol=1e-12, restart=10, maxit=None):
     # an inf tol would accept any residual, an overflowed one included
     if not math.isfinite(bnorm):
         raise NoConvergenceError("GMRES right-hand side norm is not finite",
-                                 best_x=x, residual=bnorm)
+                                 residual=bnorm)
     tol = rtol * bnorm
 
     r = b  # the residual of the zero start; restarts reuse the last one
     beta = best_res = bnorm
-    best_x = x.copy()
     total_iters = 0
     # every row a cycle reads is written first in that cycle
-    V = np.empty((min(restart, max(maxit, 0)) + 1, n))
+    V = np.empty((RESTART + 1, n))
     while True:
         if beta <= tol:
             return SolveResult(x=x, iterations=total_iters, residual=beta)
         # a NaN or inf residual never meets tol: fail now, not after maxit
         if total_iters >= maxit or not math.isfinite(beta):
-            raise NoConvergenceError("GMRES did not converge", best_x=best_x,
+            raise NoConvergenceError("GMRES did not converge",
                                      residual=best_res, iterations=total_iters)
-        m = min(restart, maxit - total_iters)
+        m = min(RESTART, maxit - total_iters)
         H = np.zeros((m + 1, m))  # zeroed: the solve reads below the diagonal
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -264,7 +261,7 @@ def gmres(apply, b, rtol=1e-12, restart=10, maxit=None):
             total_iters += 1
             if not math.isfinite(g[j + 1]):
                 raise NoConvergenceError("GMRES residual is not finite",
-                                         best_x=best_x, residual=best_res,
+                                         residual=best_res,
                                          iterations=total_iters)
             if abs(g[j + 1]) <= tol or h_sub == 0.0:
                 break
@@ -273,6 +270,4 @@ def gmres(apply, b, rtol=1e-12, restart=10, maxit=None):
         x = x + V[:k_done].T @ y
         r = b - apply(x)
         beta = _norm(r)
-        if beta < best_res:
-            best_res = beta
-            best_x = x.copy()
+        best_res = min(best_res, beta)

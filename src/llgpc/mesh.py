@@ -18,7 +18,7 @@ import numpy as np
 from .errors import GeometryError, InvalidParameterError, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Tetrahedral triangulation: vertex coordinates plus 4-index cells.
 

@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from llgpc.fem import build_assemblies
+from llgpc import llg
+from llgpc.fem import build_assemblies, is_unit
 from llgpc.mesh import Mesh, build_cube_mesh
 
 REFERENCE_TET_VERTICES = np.array([
@@ -52,3 +55,35 @@ def random_unit_field(n, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     g = rng.normal(size=(n, 3))
     return g / np.linalg.norm(g, axis=1)[:, None]
+
+
+class TangencyRecorder:
+    """Worst ratio max_z |m(z).v(z)| / (1 + max |v|) over the predictor
+    solves it has seen on a unit m; other solves are not counted."""
+
+    def __init__(self):
+        self.worst_ratio = 0.0
+        self.calls = 0
+
+    def wrap(self, predictor):
+        def recorded(m, *args, **kwargs):
+            v, iterations = predictor(m, *args, **kwargs)
+            if is_unit(m):
+                dots = np.abs(np.einsum("ij,ij->i", m, v)).max()
+                self.calls += 1
+                self.worst_ratio = max(self.worst_ratio,
+                                       float(dots / (1.0 + np.abs(v).max())))
+            return v, iterations
+        return recorded
+
+
+@contextmanager
+def tangency_recorder():
+    """Record every llg.predictor_full and llg.predictor_tangent solve in
+    the block, including those issued by step and the harness, which look
+    the predictors up as llg module attributes at call time."""
+    rec = TangencyRecorder()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("predictor_full", "predictor_tangent"):
+            mp.setattr(llg, name, rec.wrap(getattr(llg, name)))
+        yield rec

@@ -3,24 +3,26 @@
 Each test prints a single PASS/FAIL line.  Tolerances are pinned; shared
 expensive runs are cached in session-scoped fixtures.  Criterion 4
 (tangency) observes every predictor solve issued by criteria 1-3 through
-a recorder hook, so those fixtures run inside the recorder.
+conftest's recorder, which wraps the llg predictor attributes, so those
+fixtures run inside the recorder and call the predictors through `llg`.
 """
 
 import numpy as np
 import pytest
 
+from llgpc import llg
 from llgpc.fem import (build_assemblies, check_angle_condition,
                        discrete_laplacian, grad_sq, inner_l2, nodal_cross,
                        norm_h)
 from llgpc.harness import (RunConfig, init_state, make_cube_assemblies,
                            run_convergence_study, run_simulation,
                            run_stability_sweep)
-from llgpc.llg import (EffectiveField, IntegratorConfig, SimState,
-                       TangencyRecorder, Uniaxial, corrector_pc2,
-                       predictor_full, predictor_tangent, step)
+from llgpc.llg import (EffectiveField, IntegratorConfig, SimState, Uniaxial,
+                       corrector_pc2, step)
 from llgpc.mesh import Mesh, build_cube_mesh
 
-from conftest import REFERENCE_TET_VERTICES, random_unit_field
+from conftest import (REFERENCE_TET_VERTICES, random_unit_field,
+                      tangency_recorder)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -37,7 +39,7 @@ def report(name, passed, detail):
 
 @pytest.fixture(scope="module")
 def recorder():
-    with TangencyRecorder() as rec:
+    with tangency_recorder() as rec:
         yield rec
 
 
@@ -67,8 +69,9 @@ def equivalence_worst(recorder):
                 cfg = IntegratorConfig(scheme="PC1", k=1e-2, theta=theta,
                                        alpha=alpha, lin_tol=1e-12)
                 for m in fields:
-                    v1, _ = predictor_full(m, cfg, EffectiveField(), asm)
-                    v2, _ = predictor_tangent(m, cfg, EffectiveField(), asm)
+                    v1, _ = llg.predictor_full(m, cfg, EffectiveField(), asm)
+                    v2, _ = llg.predictor_tangent(m, cfg, EffectiveField(),
+                                                  asm)
                     d = v1 - v2
                     denom = max(inner_l2(asm.mass, v1, v1), 1e-300)
                     worst = max(worst,
@@ -88,7 +91,7 @@ def dense_oracle_worst(recorder):
         m = random_unit_field(asm.n, seed)
         cfg = IntegratorConfig(scheme="PC2", k=0.1, theta=0.5, alpha=1.0,
                                lin_tol=1e-13)
-        v, _ = predictor_full(m, cfg, EffectiveField(), asm)
+        v, _ = llg.predictor_full(m, cfg, EffectiveField(), asm)
 
         # dense predictor matrix: apply the operator to identity columns
         n3 = 3 * asm.n

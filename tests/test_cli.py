@@ -54,6 +54,28 @@ def test_run_config_error_exit_code(capsys):
     assert main(["run", "--k", "1e-3", "--T", "1e-2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--mesh-n", "1", "--T", "inf"],
+    ["converge", "--mesh-n", "1", "--T", "1e-2", "--ks", "1e-3",
+     "--k-ref", "0"],
+    ["sweep", "--mesh-n", "1", "--thetas", "0.5", "--ks", "1e-3",
+     "--t-cap", "inf"],
+    ["run", "--mesh-n", "1", "--T", "1e-2", "--init", "random",
+     "--seed", "-1"],
+], ids=["run_T_inf", "converge_k_ref_0", "sweep_t_cap_inf", "seed_negative"])
+def test_bad_run_input_exit_code(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["mesh"], ["run", "--T", "1e-2"]])
+def test_inverted_mesh_file_exit_code(command, tmp_path, capsys):
+    path = tmp_path / "inverted.txt"
+    path.write_text("tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 2 1 3\n")
+    assert main(command + ["--mesh-file", str(path)]) == 2
+    assert "tet 0 has non-positive volume" in capsys.readouterr().err
+
+
 def test_run_fail_on_unstable(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["run", "--mesh-n", "4", "--edge", "0.4", "--scheme", "PC2",

@@ -14,6 +14,11 @@ from llgpc.mesh import build_cube_mesh
 E3 = np.array([0.0, 0.0, 1.0])
 
 
+def run_config(**kw):
+    return RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
+                     field=EffectiveField(), **{"t_end": 1e-2, **kw})
+
+
 class TestInitState:
     def test_uniform(self):
         mesh = build_cube_mesh(2, 1.0)
@@ -45,6 +50,11 @@ class TestInitState:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             init_state(build_cube_mesh(1, 1.0), "spiral")
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            init_state(build_cube_mesh(1, 1.0), "random", seed=seed)
 
 
 class TestRunSimulation:
@@ -109,6 +119,15 @@ class TestRunSimulation:
             run_simulation(asm, cfg, m0)
         if bad != "scaled":
             assert "m0(11)" in str(exc.value)
+
+    @pytest.mark.parametrize("shape", [(24,), (3, 3), (8, 2)])
+    def test_m0_of_wrong_shape_rejected(self, shape, monkeypatch):
+        asm = make_cube_assemblies(1)
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
+                        field=EffectiveField(), t_end=3e-3)
+        monkeypatch.setattr(harness, "step", None)  # no step may run
+        with pytest.raises(InvalidParameterError, match=r"\(8, 3\)"):
+            run_simulation(asm, cfg, np.ones(shape) / np.sqrt(shape[-1]))
 
     def test_grad_sq_once_per_trace_row(self, monkeypatch):
         asm = make_cube_assemblies(2)
@@ -187,6 +206,33 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             RunConfig(integrator=IntegratorConfig(scheme="PC1", k=3e-3),
                       field=EffectiveField(), t_end=1e-2)
+
+    @pytest.mark.parametrize("start", [
+        lambda asm, m0: run_config(t_end=np.inf),
+        lambda asm, m0: run_config(t_end=np.nan),
+        lambda asm, m0: run_config(stride=1.5),
+        lambda asm, m0: run_config(stride="2"),
+        lambda asm, m0: run_stability_sweep(asm, EffectiveField(), "PC2",
+                                            [0.5], [1e-3], m0, t_cap=np.inf),
+        lambda asm, m0: run_stability_sweep(asm, EffectiveField(), "PC2",
+                                            [0.5], [0.0], m0),
+        lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
+                                              [1e-3], 0.0, 1e-2, m0),
+        lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
+                                              [1e-3], np.nan, 1e-2, m0),
+        lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
+                                              [1e-3], 1e-3, np.inf, m0),
+        lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
+                                              [np.inf], 1e-3, 1e-2, m0),
+        lambda asm, m0: run_simulation(asm, run_config(), m0,
+                                       snapshot_times=[1e-3, np.nan]),
+    ], ids=["t_end_inf", "t_end_nan", "stride_float", "stride_str",
+            "t_cap_inf", "sweep_k_0", "k_ref_0", "k_ref_nan", "study_t_end_inf",
+            "study_k_inf", "snapshot_nan"])
+    def test_bad_run_length_rejected(self, start):
+        asm = make_cube_assemblies(1)
+        with pytest.raises(ConfigError):
+            start(asm, init_state(asm.mesh, "uniform"))
 
 
 class TestCsvOutput:

@@ -8,13 +8,12 @@ from llgpc import llg
 from llgpc.errors import InvalidParameterError, NoConvergenceError
 from llgpc.fem import (apply_Ph, discrete_laplacian, grad_sq, inner_h,
                        inner_l2)
-from llgpc.llg import (EffectiveField, IntegratorConfig, SimState,
-                       TangencyRecorder, Uniaxial, corrector_pc2,
-                       corrector_project, energy, lower_field, ph_pi,
-                       predictor_full, predictor_fully_implicit,
+from llgpc.llg import (EffectiveField, IntegratorConfig, SimState, Uniaxial,
+                       corrector_pc2, corrector_project, energy, lower_field,
+                       ph_pi, predictor_full, predictor_fully_implicit,
                        predictor_tangent, step, tangent_basis)
 
-from conftest import random_unit_field
+from conftest import random_unit_field, tangency_recorder
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -438,14 +437,16 @@ class TestTangencyRecorder:
     def test_records_worst_ratio(self, cube2_asm):
         m = random_unit_field(cube2_asm.n, 91)
         cfg = IntegratorConfig(scheme="PC1", k=1e-2)
-        with TangencyRecorder() as rec:
-            predictor_full(m, cfg, EffectiveField(), cube2_asm)
-        assert rec.calls == 1
+        with tangency_recorder() as rec:
+            llg.predictor_full(m, cfg, EffectiveField(), cube2_asm)
+            llg.predictor_tangent(m, cfg, EffectiveField(), cube2_asm)
+        assert rec.calls == 2
         assert rec.worst_ratio <= 1e-9
+        assert llg.predictor_full is predictor_full
 
     def test_skips_non_unit_m(self, cube2_asm):
         m = 1.5 * random_unit_field(cube2_asm.n, 92)
         cfg = IntegratorConfig(scheme="PC1", k=1e-2)
-        with TangencyRecorder() as rec:
-            predictor_full(m, cfg, EffectiveField(), cube2_asm)
+        with tangency_recorder() as rec:
+            llg.predictor_full(m, cfg, EffectiveField(), cube2_asm)
         assert rec.calls == 0

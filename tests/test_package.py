@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import llgpc
+from llgpc.linalg import CsrMatrix
 
 # the directory that holds the llgpc package this test process imported
 PACKAGE_ROOT = str(Path(llgpc.__file__).resolve().parents[1])
@@ -25,3 +29,19 @@ def test_every_exported_name_resolves():
     missing = [name for name in llgpc.__all__ if not hasattr(llgpc, name)]
     assert missing == []
     assert len(set(llgpc.__all__)) == len(llgpc.__all__)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: llgpc.build_cube_mesh(1, 1.0),
+    lambda: llgpc.make_cube_assemblies(1),
+    lambda: CsrMatrix.from_coo([0, 1], [1, 0], [1.0, 2.0], (2, 2)),
+    lambda: llgpc.Uniaxial(1.0, np.array([0.0, 0.0, 1.0])),
+    lambda: llgpc.EffectiveField(applied=np.ones(3)),
+    lambda: llgpc.SimState(ell=0, m_curr=np.ones((8, 3))),
+], ids=["Mesh", "Assemblies", "CsrMatrix", "Uniaxial", "EffectiveField",
+        "SimState"])
+def test_array_holders_compare_by_identity_and_hash(make):
+    # equal arrays have no single truth value, so == cannot compare fields
+    a = make()
+    assert a == a and a != make()
+    assert hash(a) == hash(a)
