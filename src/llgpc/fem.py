@@ -84,16 +84,6 @@ def _check_match(beta, *fields, scalar=False):
             )
 
 
-def inner_h(beta: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
-    """Mass-lumped inner product sum_z beta_z u(z).w(z)."""
-    _check_match(beta, u, w)
-    return float(np.dot(beta, np.einsum("ij,ij->i", u, w)))
-
-
-def norm_h(beta: np.ndarray, u: np.ndarray) -> float:
-    return float(np.sqrt(max(inner_h(beta, u, u), 0.0)))
-
-
 def inner_l2(mass: CsrMatrix, u: np.ndarray, w: np.ndarray) -> float:
     """Consistent L2 inner product of two P1 fields."""
     return float(np.sum(spmv(mass, u) * w))
@@ -137,11 +127,6 @@ def nodal_project_sphere(u: np.ndarray) -> np.ndarray:
         z = int(np.argmin(mods))
         raise ProjectionDegenerateError(z, float(mods[z]))
     return u / mods[:, None]
-
-
-def is_unit(u: np.ndarray) -> bool:
-    mods = np.linalg.norm(u, axis=1)
-    return bool(np.max(np.abs(mods - 1.0)) <= UNIT_TOL)
 
 
 @dataclass(frozen=True)

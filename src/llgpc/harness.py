@@ -10,7 +10,7 @@ import io
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -111,6 +111,7 @@ class RunConfig:
             raise ConfigError(f"stride must be an integer >= 1, "
                               f"got {self.stride!r}")
         n_steps = self.t_end / self.integrator.k
+        check_real(n_steps, "step count t_end / k", error=ConfigError)
         if abs(n_steps - round(n_steps)) > 1e-9 * max(n_steps, 1.0):
             raise ConfigError("t_end must be an integer multiple of k")
 
@@ -152,9 +153,7 @@ def _row(asm, cfg: RunConfig, state: SimState, t0: float,
 
 
 def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
-                   snapshot_times: Sequence[float] = (),
-                   on_step: Optional[Callable[[SimState], None]] = None
-                   ) -> RunResult:
+                   snapshot_times: Sequence[float] = ()) -> RunResult:
     """Step from m0 to t_end, recording a trace every `stride` steps.
 
     Relax mode stops once ||grad m||^2 <= 1e-8.  With stability monitoring
@@ -199,8 +198,6 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
                                 state.time(k), exc)
             return RunResult(state=state, trace=trace, status="failed",
                              error=err, snapshots=snapshots)
-        if on_step is not None:
-            on_step(state)
         if state.ell in snap_steps:
             snapshots[state.ell] = state.m_curr.copy()
         record = state.ell % cfg.stride == 0 or state.ell == cfg.n_steps
@@ -264,10 +261,12 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     """
     check_real(k_ref, "k_ref", positive=True, error=ConfigError)
     check_real(t_end, "t_end", positive=True, error=ConfigError)
+    check_real(t_end / k_ref, "step count t_end / k_ref", error=ConfigError)
     ks = sorted(set(float(k) for k in ks), reverse=True)
     for k in ks:
         check_real(k, "k", positive=True, error=ConfigError)
         ratio = k / k_ref
+        check_real(ratio, "step ratio k / k_ref", error=ConfigError)
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError(
                 f"k={k} is not an integer multiple of k_ref={k_ref}"
@@ -350,26 +349,23 @@ def run_stability_sweep(asm: Assemblies, field_cfg: EffectiveField,
     the way down to the relaxed threshold; any increase flags it unstable
     immediately.  Hitting the time cap without reaching the threshold is
     inconclusive (counted as not stable).  Solver failures are recorded as
-    their own status, also not stable.  Grid order is deterministic:
-    thetas outer, ks inner, in the order given.
+    their own status, also not stable; bad input raises.  Grid order is
+    deterministic: thetas outer, ks inner, in the order given.
     """
     check_real(t_cap, "t_cap", positive=True, error=ConfigError)
     cells = []
     for theta in thetas:
         for k in ks:
             check_real(k, "k", positive=True, error=ConfigError)
+            check_real(t_cap / k, "step count t_cap / k", error=ConfigError)
             n_steps = int(np.ceil(t_cap / k))
             cfg = RunConfig(
                 integrator=IntegratorConfig(scheme=scheme, k=k, theta=theta,
                                             alpha=alpha, lin_tol=lin_tol),
                 field=field_cfg, t_end=n_steps * k, stride=n_steps,
                 relax=True, monitor_stability=True)
-            try:
-                res = run_simulation(asm, cfg, m0)
-            except LlgpcError:
-                status, steps = "failed", 0
-            else:
-                status, steps = _CELL_STATUS[res.status], res.state.ell
+            res = run_simulation(asm, cfg, m0)
+            status, steps = _CELL_STATUS[res.status], res.state.ell
             cells.append(SweepCell(theta=theta, k=k, stable=status == "stable",
                                    status=status, steps_taken=steps))
     return cells

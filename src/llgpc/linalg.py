@@ -65,19 +65,6 @@ class CsrMatrix:
         object.__setattr__(self, "_overflow",
                            (long, bins, cols[over], self.data[over]))
 
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape):
-        """Build from triplets; each stored entry sums its triplets from 0.0
-        in triplet order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != rows.shape:
-            raise InvalidParameterError("rows and vals differ in length")
-        indptr, indices, entry = coo_pattern(rows, cols, shape)
-        data = np.bincount(entry, weights=vals, minlength=indices.shape[0])
-        return cls(indptr=indptr, indices=indices, data=data,
-                   n_rows=shape[0], n_cols=shape[1])
-
     @property
     def rows(self) -> np.ndarray:
         """Row index of every stored entry; computed, not stored, as no
@@ -87,11 +74,6 @@ class CsrMatrix:
     @property
     def nnz(self) -> int:
         return int(self.data.shape[0])
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self.rows, self.indices] = self.data
-        return out
 
 
 def coo_pattern(rows, cols, shape):

@@ -10,7 +10,9 @@ lower-order field.  The IMEX schemes take h = ell_ex^2 theta k Lap_h v.
 PC1 and PC2 evaluate the lower-order field at m + theta k v; pi is linear,
 so this adds theta k P_h pi(v) to h, with H0 = ell_ex^2 Lap_h m +
 P_h pi(m) + f(t + theta k), and v is still one linear solve.  Dotting with
-m gives (1+a^2) m.v = 0 either way.  pi(w) = c (w.e) e has rank one, so
+m gives (1+a^2) m.v = 0 either way.  This 3N system is the one predictor
+solved here; its equivalent 2N system in nodal tangent coordinates serves
+the tests as an oracle.  pi(w) = c (w.e) e has rank one, so
 P_h pi(w) = c beta^{-1} M (w.e) e takes one scalar mass product, and the
 anisotropy energy is -c/2 (m.e)^T M (m.e).  The PC2 corrector decouples
 into independent 3x3 solves per node because its unknown appears without
@@ -25,9 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, check_real
-from .fem import (Assemblies, UNIT_TOL, apply_Ph, discrete_laplacian,
-                  grad_sq, inner_l2, is_unit, nodal_cross,
-                  nodal_project_sphere)
+from .fem import (Assemblies, apply_Ph, discrete_laplacian, grad_sq,
+                  inner_l2, nodal_cross, nodal_project_sphere)
 from .linalg import gmres
 
 SCHEMES = ("PC1", "PC1_IMEX", "PC1_PROJFREE", "PC2", "PC2_IMEX")
@@ -199,79 +200,6 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
 
     res = gmres(apply, rhs.T.reshape(-1), rtol=cfg.lin_tol)
     return np.ascontiguousarray(res.x.reshape(3, n).T), res.iterations
-
-
-def tangent_basis(u: np.ndarray):
-    """Orthonormal (t1, t2) with {u, t1, t2} right-handed, deterministic.
-
-    Picks the coordinate axis with the smallest |u-component| (lowest index
-    on ties) and orthonormalizes.  Works on a single unit 3-vector or on an
-    (N, 3) array of them.
-    """
-    single = u.ndim == 1
-    uu = u[None, :] if single else u
-    mods = np.linalg.norm(uu, axis=1)
-    if np.max(np.abs(mods - 1.0)) > UNIT_TOL:
-        raise InvalidParameterError("tangent_basis requires unit vectors")
-    axis = np.argmin(np.abs(uu), axis=1)
-    e = np.zeros_like(uu)
-    e[np.arange(uu.shape[0]), axis] = 1.0
-    t1 = e - np.einsum("ij,ij->i", e, uu)[:, None] * uu
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = nodal_cross(uu, t1)
-    if single:
-        return t1[0], t2[0]
-    return t1, t2
-
-
-def predictor_tangent(m: np.ndarray, cfg: IntegratorConfig,
-                      field_cfg: EffectiveField, asm: Assemblies,
-                      h_lower: Optional[np.ndarray] = None):
-    """Solve the equivalent tangent-space predictor system.
-
-    Unknowns are per-node 2D coordinates in the nodal tangent frame, so the
-    output is tangent to m at every node by construction.  Requires a
-    unit-flagged m and alpha > 0 or theta*k > 0 for ellipticity.
-    """
-    if not is_unit(m):
-        raise InvalidParameterError("predictor_tangent requires |m(z)| = 1")
-    if cfg.alpha <= 0 and cfg.theta * cfg.k <= 0:
-        raise InvalidParameterError("tangent system needs alpha > 0 or theta*k > 0")
-    n = asm.n
-    a = cfg.alpha
-    c_ex = field_cfg.ell_ex ** 2 * cfg.theta * cfg.k
-    st = asm.stiffness
-    beta = asm.beta
-    t1, t2 = tangent_basis(m)
-
-    def lift(c):
-        c = c.reshape(n, 2)
-        return c[:, :1] * t1 + c[:, 1:] * t2
-
-    def project(w):
-        return np.column_stack([np.einsum("ij,ij->i", w, t1),
-                                np.einsum("ij,ij->i", w, t2)]).reshape(-1)
-
-    mxt1 = nodal_cross(m, t1)
-    mxt2 = nodal_cross(m, t2)
-
-    def apply(c):
-        v = lift(c)
-        # alpha <v, phi>_h + <m x v, phi>_h - c_ex <Lap_h v, phi>_h,
-        # tested with phi = t1(z) phi_z and t2(z) phi_z, divided by beta_z
-        lap = discrete_laplacian(st, beta, v)
-        cv = c.reshape(n, 2)
-        mxv = cv[:, 0][:, None] * mxt1 + cv[:, 1][:, None] * mxt2
-        w = a * v + mxv - c_ex * lap
-        return project(w)
-
-    h0 = exchange_field(asm, field_cfg, m)
-    if h_lower is not None:
-        h0 = h0 + h_lower
-    rhs = project(h0)
-
-    res = gmres(apply, rhs, rtol=cfg.lin_tol)
-    return lift(res.x), res.iterations
 
 
 def predictor_fully_implicit(m: np.ndarray, cfg: IntegratorConfig,

@@ -10,12 +10,14 @@ most pi/2, so the assembled stiffness matrix has nonpositive off-diagonal
 entries (checked at runtime by fem.check_angle_condition, never assumed).
 """
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import GeometryError, InvalidParameterError, ParseError
+from .errors import (GeometryError, InvalidParameterError, ParseError,
+                     check_real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +92,9 @@ def build_cube_mesh(n: int, edge_length: float, center=(0.0, 0.0, 0.0)) -> Mesh:
     All cells share the same diagonal direction, so the mesh is conforming
     with (n+1)^3 vertices and 6 n^3 tets.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if edge_length <= 0:
-        raise InvalidParameterError("edge_length must be positive")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
+    check_real(edge_length, "edge_length", positive=True)
     center = np.asarray(center, dtype=np.float64)
     if center.shape != (3,):
         raise InvalidParameterError("center must be a 3-vector")

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from llgpc import llg
-from llgpc.fem import build_assemblies, is_unit
+from llgpc.fem import build_assemblies
+from llgpc.linalg import CsrMatrix, coo_pattern
 from llgpc.mesh import Mesh, build_cube_mesh
+
+import tangent_oracle
 
 REFERENCE_TET_VERTICES = np.array([
     [0.0, 0.0, 0.0],
@@ -51,6 +54,32 @@ def oriented_mesh(vertices, tets):
     return Mesh(vertices, tets)
 
 
+def csr_from_coo(rows, cols, vals, shape):
+    """CsrMatrix of triplets; each stored entry sums its triplets from 0.0
+    in triplet order, as build_assemblies does."""
+    indptr, indices, entry = coo_pattern(rows, cols, shape)
+    data = np.bincount(entry, weights=np.asarray(vals, dtype=np.float64),
+                       minlength=indices.shape[0])
+    return CsrMatrix(indptr=indptr, indices=indices, data=data,
+                     n_rows=shape[0], n_cols=shape[1])
+
+
+def dense(a):
+    """The stored entries of a CsrMatrix as a dense array."""
+    out = np.zeros((a.n_rows, a.n_cols))
+    out[a.rows, a.indices] = a.data
+    return out
+
+
+def inner_h(beta, u, w):
+    """Mass-lumped inner product sum_z beta_z u(z).w(z)."""
+    return float(np.dot(beta, np.einsum("ij,ij->i", u, w)))
+
+
+def norm_h(beta, u):
+    return float(np.sqrt(max(inner_h(beta, u, u), 0.0)))
+
+
 def random_unit_field(n, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     g = rng.normal(size=(n, 3))
@@ -68,7 +97,7 @@ class TangencyRecorder:
     def wrap(self, predictor):
         def recorded(m, *args, **kwargs):
             v, iterations = predictor(m, *args, **kwargs)
-            if is_unit(m):
+            if tangent_oracle.is_unit(m):
                 dots = np.abs(np.einsum("ij,ij->i", m, v)).max()
                 self.calls += 1
                 self.worst_ratio = max(self.worst_ratio,
@@ -79,11 +108,12 @@ class TangencyRecorder:
 
 @contextmanager
 def tangency_recorder():
-    """Record every llg.predictor_full and llg.predictor_tangent solve in
-    the block, including those issued by step and the harness, which look
-    the predictors up as llg module attributes at call time."""
+    """Record every llg.predictor_full and tangent_oracle.predictor_tangent
+    solve in the block, including those issued by step and the harness,
+    which look predictor_full up as an llg module attribute at call time."""
     rec = TangencyRecorder()
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("predictor_full", "predictor_tangent"):
-            mp.setattr(llg, name, rec.wrap(getattr(llg, name)))
+        for module, name in ((llg, "predictor_full"),
+                             (tangent_oracle, "predictor_tangent")):
+            mp.setattr(module, name, rec.wrap(getattr(module, name)))
         yield rec

@@ -5,12 +5,12 @@ import pytest
 
 from llgpc.errors import InvalidParameterError, ProjectionDegenerateError
 from llgpc.fem import (apply_Ph, build_assemblies, check_angle_condition,
-                       discrete_laplacian, grad_sq, inner_h, inner_l2,
-                       nodal_cross, nodal_project_sphere, norm_h, norms)
+                       discrete_laplacian, grad_sq, inner_l2, nodal_cross,
+                       nodal_project_sphere, norms)
 from llgpc.linalg import spmv
 from llgpc.mesh import Mesh, build_cube_mesh
 
-from conftest import oriented_mesh, random_unit_field
+from conftest import dense, inner_h, norm_h, oriented_mesh, random_unit_field
 
 
 class TestLumpedMass:
@@ -48,10 +48,10 @@ class TestAssembly:
         mesh = perturbed_cube3()
         ke = (mesh.volumes[:, None, None]
               * ((np.ones((4, 4)) + np.eye(4)) / 20.0))
-        dense = np.zeros((mesh.n_vertices, mesh.n_vertices))
+        expected = np.zeros((mesh.n_vertices, mesh.n_vertices))
         for t, tet in enumerate(mesh.tets):
-            np.add.at(dense, (tet[:, None], tet[None, :]), ke[t])
-        assert np.array_equal(build_assemblies(mesh).mass.toarray(), dense)
+            np.add.at(expected, (tet[:, None], tet[None, :]), ke[t])
+        assert np.array_equal(dense(build_assemblies(mesh).mass), expected)
 
     def test_peak_memory_n16(self):
         mesh = build_cube_mesh(16, 1.0)
@@ -66,7 +66,7 @@ class TestAssembly:
 
 class TestStiffness:
     def test_reference_tet_diagonal(self, reference_tet_asm):
-        a = reference_tet_asm.stiffness.toarray()
+        a = dense(reference_tet_asm.stiffness)
         # vertex 0 has gradient (-1,-1,-1): entry 3 * (1/6)
         assert a[0, 0] == pytest.approx(0.5)
         for i in (1, 2, 3):
@@ -79,18 +79,18 @@ class TestStiffness:
         assert np.abs(spmv(asm.stiffness, ones)).max() <= 1e-13
 
     def test_symmetric(self, cube2_asm):
-        a = cube2_asm.stiffness.toarray()
+        a = dense(cube2_asm.stiffness)
         assert np.array_equal(a, a.T)
 
 
 class TestConsistentMass:
     def test_reference_tet_stencil(self, reference_tet_asm):
-        m = reference_tet_asm.mass.toarray()
+        m = dense(reference_tet_asm.mass)
         expected = np.full((4, 4), 1.0 / 120.0) + np.eye(4) / 120.0
         assert m == pytest.approx(expected)
 
     def test_row_sums_equal_beta(self, cube2_asm):
-        m = cube2_asm.mass.toarray()
+        m = dense(cube2_asm.mass)
         assert m.sum(axis=1) == pytest.approx(cube2_asm.beta)
 
     def test_times_constant_is_beta(self, cube2_asm):
@@ -122,7 +122,7 @@ class TestInnerProducts:
 
     def test_shape_mismatch(self, cube2_asm):
         with pytest.raises(InvalidParameterError):
-            inner_h(cube2_asm.beta, np.zeros((3, 3)), np.zeros((3, 3)))
+            inner_l2(cube2_asm.mass, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 class TestDiscreteLaplacian:
@@ -221,7 +221,7 @@ class TestNodalOps:
         u = rng.normal(size=(200, 3))
         w = rng.normal(size=(200, 3))
         assert nodal_cross(u, w).tobytes() == np.cross(u, w).tobytes()
-        # a single 3-vector against a field, as in the tangent-space code
+        # a single 3-vector against a field, as in the tangent-space oracle
         assert nodal_cross(u[7], w).tobytes() == np.cross(u[7], w).tobytes()
         assert nodal_cross(u, w[7]).tobytes() == np.cross(u, w[7]).tobytes()
 
@@ -295,7 +295,7 @@ class TestAngleCondition:
 def _offending_by_scan(stiffness, slack=1e-13):
     """Positive off-diagonal entries, worst first with ties in row-major
     order, at most 10."""
-    a = stiffness.toarray()
+    a = dense(stiffness)
     bad = [(i, j, float(a[i, j])) for i in range(a.shape[0])
            for j in range(a.shape[1]) if i != j and a[i, j] > slack]
     bad.sort(key=lambda e: -e[2])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -155,14 +157,12 @@ class TestRunSimulation:
         asm = make_cube_assemblies(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_IMEX", k=0.1),
                         field=EffectiveField(), t_end=0.5)
-        seen = {}
-        res = run_simulation(asm, cfg, init_state(asm.mesh, "random", seed=3),
-                             snapshot_times=[0.0, 0.3, 0.1 * 3],
-                             on_step=lambda s: seen.setdefault(s.ell,
-                                                               s.m_curr))
+        m0 = init_state(asm.mesh, "random", seed=3)
+        res = run_simulation(asm, cfg, m0, snapshot_times=[0.0, 0.3, 0.1 * 3])
+        at_3 = run_simulation(asm, replace(cfg, t_end=0.3), m0).state.m_curr
         assert res.status == "completed"
         assert sorted(res.snapshots) == [0, 3]
-        assert np.array_equal(res.snapshots[3], seen[3])
+        assert np.array_equal(res.snapshots[3], at_3)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowed_projection_free_run_fails(self):
@@ -226,9 +226,20 @@ class TestRunSimulation:
                                               [np.inf], 1e-3, 1e-2, m0),
         lambda asm, m0: run_simulation(asm, run_config(), m0,
                                        snapshot_times=[1e-3, np.nan]),
+        # t_end / k, t_cap / k, t_end / k_ref and k / k_ref overflow to inf
+        lambda asm, m0: RunConfig(
+            integrator=IntegratorConfig(scheme="PC2", k=1e-320),
+            field=EffectiveField(), t_end=1.0),
+        lambda asm, m0: run_stability_sweep(asm, EffectiveField(), "PC2",
+                                            [0.5], [1e-320], m0, t_cap=1.0),
+        lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
+                                              [1.0], 1e-320, 1.0, m0),
+        lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
+                                              [1e10], 1e-300, 1.0, m0),
     ], ids=["t_end_inf", "t_end_nan", "stride_float", "stride_str",
             "t_cap_inf", "sweep_k_0", "k_ref_0", "k_ref_nan", "study_t_end_inf",
-            "study_k_inf", "snapshot_nan"])
+            "study_k_inf", "snapshot_nan", "run_k_tiny", "sweep_k_tiny",
+            "study_k_ref_tiny", "study_k_over_k_ref_inf"])
     def test_bad_run_length_rejected(self, start):
         asm = make_cube_assemblies(1)
         with pytest.raises(ConfigError):
@@ -371,7 +382,18 @@ class TestStabilitySweep:
 
         monkeypatch.setattr(harness, "run_simulation", fake_run)
         cells = run_stability_sweep(asm, EffectiveField(), "PC2", [0.5],
-                                    list(outcomes), m0, t_cap=1e-2)
+                                    [1e-3, 2e-3, 3e-3, 4e-3], m0, t_cap=1e-2)
         assert [(c.status, c.stable, c.steps_taken) for c in cells] == [
             ("stable", True, 3), ("inconclusive", False, 5),
-            ("unstable", False, 2), ("failed", False, 4), ("failed", False, 0)]
+            ("unstable", False, 2), ("failed", False, 4)]
+        # a run that raises is bad input, not a failed cell
+        with pytest.raises(InvalidParameterError):
+            run_stability_sweep(asm, EffectiveField(), "PC2", [0.5], [5e-3],
+                                m0, t_cap=1e-2)
+
+    def test_non_unit_m0_raises(self):
+        asm = make_cube_assemblies(1)
+        m0 = 2.0 * init_state(asm.mesh, "uniform")
+        with pytest.raises(InvalidParameterError, match="unit field"):
+            run_stability_sweep(asm, EffectiveField(), "PC2", [0.5],
+                                [1e-3, 2e-3], m0, t_cap=1e-2)

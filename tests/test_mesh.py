@@ -68,6 +68,10 @@ class TestBuildCubeMesh:
             build_cube_mesh(0, 1.0)
         with pytest.raises(InvalidParameterError):
             build_cube_mesh(2, -1.0)
+        # not an integer cell count, or not a real edge length
+        for n, edge in ((2.5, 1.0), ("2", 1.0), (2, "1"), (2, np.nan)):
+            with pytest.raises(InvalidParameterError):
+                build_cube_mesh(n, edge)
 
 
 class TestMakeMesh:

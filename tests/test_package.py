@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import llgpc
-from llgpc.linalg import CsrMatrix
+
+from conftest import csr_from_coo
 
 # the directory that holds the llgpc package this test process imported
 PACKAGE_ROOT = str(Path(llgpc.__file__).resolve().parents[1])
@@ -31,10 +32,26 @@ def test_every_exported_name_resolves():
     assert len(set(llgpc.__all__)) == len(llgpc.__all__)
 
 
+def test_public_surface_is_pinned():
+    # adding or dropping a public name must show up as a diff here
+    assert sorted(llgpc.__all__) == [
+        "Assemblies", "ConfigError", "EffectiveField", "GeometryError",
+        "IntegratorConfig", "InvalidParameterError", "LlgpcError", "Mesh",
+        "NoConvergenceError", "ParseError", "ProjectionDegenerateError",
+        "RunConfig", "RunResult", "SimState", "SolverFailure", "TraceRow",
+        "Uniaxial", "apply_Ph", "build_assemblies", "build_cube_mesh",
+        "check_angle_condition", "corrector_pc2", "corrector_project",
+        "discrete_laplacian", "energy", "grad_sq", "init_state", "inner_l2",
+        "load_mesh", "make_cube_assemblies", "norms", "predictor_full",
+        "predictor_fully_implicit", "run_convergence_study", "run_simulation",
+        "run_stability_sweep", "save_mesh", "step",
+    ]
+
+
 @pytest.mark.parametrize("make", [
     lambda: llgpc.build_cube_mesh(1, 1.0),
     lambda: llgpc.make_cube_assemblies(1),
-    lambda: CsrMatrix.from_coo([0, 1], [1, 0], [1.0, 2.0], (2, 2)),
+    lambda: csr_from_coo([0, 1], [1, 0], [1.0, 2.0], (2, 2)),
     lambda: llgpc.Uniaxial(1.0, np.array([0.0, 0.0, 1.0])),
     lambda: llgpc.EffectiveField(applied=np.ones(3)),
     lambda: llgpc.SimState(ell=0, m_curr=np.ones((8, 3))),
