@@ -54,22 +54,29 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     - A_{z,z'} = <grad phi_{z'}, grad phi_z>: symmetric, zero row sums.
     - M_{z,z'} = <phi_{z'}, phi_z>: element matrix V/20 * (1 + delta_ij).
     - beta_z = sum over incident tets of V/4.
-    A and M share one sparsity pattern, built once from the tet triplets;
-    each sums its triplets per entry from 0.0 in tet order.
+    M stores every vertex pair of a tet, from one stable sort of the pair
+    keys; each matrix sums its element values per entry from 0.0 in tet
+    order.  A keeps only its entries that are not exactly 0.0 (on a Kuhn
+    cube a 7-point stencil): a stored 0.0 adds a signed zero to a row sum
+    that is never -0.0, so no product with a finite operand changes.
     """
     n, tets, vols = mesh.n_vertices, mesh.tets, mesh.volumes
-    indptr, indices, entry = coo_pattern(np.repeat(tets, 4, axis=1).ravel(),
-                                         np.tile(tets, (1, 4)).ravel(), (n, n))
+    indptr, indices, entry = coo_pattern(
+        (tets[:, :, None] * n + tets[:, None, :]).ravel(), (n, n))
     grads = _p1_gradients(mesh)  # after the pattern: lower peak memory
 
-    def csr(ke):
-        data = np.bincount(entry, weights=ke.reshape(-1),
+    def summed(ke):
+        return np.bincount(entry, weights=ke.reshape(-1),
                            minlength=indices.shape[0])
-        return CsrMatrix(indptr=indptr, indices=indices, data=data,
-                         n_rows=n, n_cols=n)
 
-    stiffness = csr(np.einsum("tic,tjc,t->tij", grads, grads, vols))
-    mass = csr(vols[:, None, None] * ((np.ones((4, 4)) + np.eye(4)) / 20.0))
+    mass = CsrMatrix(indptr=indptr, indices=indices, n_rows=n, n_cols=n,
+                     data=summed(vols[:, None, None]
+                                 * ((np.ones((4, 4)) + np.eye(4)) / 20.0)))
+    a = summed(np.einsum("tic,tjc,t->tij", grads, grads, vols))
+    keep = a != 0.0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    stiffness = CsrMatrix(indptr=kept_before[indptr], indices=indices[keep],
+                          data=a[keep], n_rows=n, n_cols=n)
     beta = np.bincount(tets.ravel(), weights=np.repeat(vols / 4.0, 4),
                        minlength=n)
     return Assemblies(mesh=mesh, stiffness=stiffness, mass=mass, beta=beta)
@@ -137,18 +144,22 @@ class AngleConditionReport:
 
 
 def check_angle_condition(stiffness: CsrMatrix) -> AngleConditionReport:
-    """Pass iff every off-diagonal stiffness entry is <= ANGLE_SLACK."""
+    """Pass iff every off-diagonal stiffness entry is <= ANGLE_SLACK.
+
+    worst_offdiag is the largest off-diagonal entry, an unstored one
+    counting as 0.0."""
     rows = stiffness.rows
     off = rows != stiffness.indices
     rows = rows[off]
     cols = stiffness.indices[off]
     vals = stiffness.data[off]
+    full = 0 < vals.size == stiffness.n_rows * (stiffness.n_cols - 1)
     bad = np.flatnonzero(vals > ANGLE_SLACK)
     # stable sort keeps stored order among equal values
     worst_first = bad[np.argsort(-vals[bad], kind="stable")]
     return AngleConditionReport(
         passed=bad.size == 0,
-        worst_offdiag=float(vals.max()) if vals.size else 0.0,
+        worst_offdiag=float(vals.max(initial=-np.inf if full else 0.0)),
         offending=tuple((int(rows[p]), int(cols[p]), float(vals[p]))
                         for p in worst_first[:10]))
 

@@ -76,38 +76,29 @@ class CsrMatrix:
         return int(self.data.shape[0])
 
 
-def coo_pattern(rows, cols, shape):
-    """CSR pattern of COO triplets: (indptr, indices, entry).
+def coo_pattern(key, shape):
+    """CSR pattern of COO keys row * n_cols + col: (indptr, indices, entry).
 
-    Triplet p adds to stored entry entry[p]; `np.bincount(entry, weights=
-    vals, minlength=nnz)` then sums each entry's triplets from 0.0 in
-    triplet order.  Indices are checked before they are keyed, as
-    row * n_cols + col would alias an out-of-range column with a
-    neighbouring row.  One stable sort of the keys orders the pattern.
+    Key p adds to stored entry entry[p]; `np.bincount(entry, weights=vals,
+    minlength=nnz)` then sums each entry's values from 0.0 in key order.
+    One stable sort of the int64 keys orders the pattern; the caller
+    checks the indices, as an out-of-range column would alias a
+    neighbouring row.
     """
     n_rows, n_cols = shape
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if rows.ndim != 1 or cols.shape != rows.shape:
-        raise InvalidParameterError("rows and cols must be equal-length 1-d")
-    for what, idx, bound in (("row", rows, n_rows), ("column", cols, n_cols)):
-        if idx.size and (idx.min() < 0 or idx.max() >= bound):
-            raise InvalidParameterError(f"{what} index outside [0, {bound})")
-    key = rows * n_cols
-    key += cols
     order = np.argsort(key, kind="stable")
     key = key[order]
     new_entry = np.empty(key.size, dtype=bool)
     new_entry[:1] = True
     np.not_equal(key[1:], key[:-1], out=new_entry[1:])
-    first = order[new_entry]
+    unique = key[new_entry]
     np.cumsum(new_entry, out=key)  # the sorted keys are no longer read
     key -= 1
     entry = np.empty_like(key)
     entry[order] = key
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
-    return indptr, cols[first], entry
+    np.cumsum(np.bincount(unique // n_cols, minlength=n_rows), out=indptr[1:])
+    return indptr, unique % n_cols, entry
 
 
 def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -123,6 +114,9 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     - Padding has value 0.0 and reads column n_cols of a copy of x whose
       extra column is 0.0: a padded term is exactly +0.0, which leaves a
       sum unchanged even where x holds inf or NaN (0 * inf would be NaN).
+      An entry the matrix does not store adds nothing either: the result
+      is A x for the stored matrix, where a stored 0.0 would turn an inf
+      of x into NaN.
     - R = max(n_rows, 2): with one row the slot axis would become numpy's
       fast axis, which it sums pairwise, not in order.
     - W is at most 2 nnz / R, so one long row cannot make the block

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from llgpc import llg
+from llgpc.errors import InvalidParameterError
 from llgpc.fem import build_assemblies
 from llgpc.linalg import CsrMatrix, coo_pattern
 from llgpc.mesh import Mesh, build_cube_mesh
@@ -57,7 +58,17 @@ def oriented_mesh(vertices, tets):
 def csr_from_coo(rows, cols, vals, shape):
     """CsrMatrix of triplets; each stored entry sums its triplets from 0.0
     in triplet order, as build_assemblies does."""
-    indptr, indices, entry = coo_pattern(rows, cols, shape)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.ndim != 1 or cols.shape != rows.shape:
+        raise InvalidParameterError("rows and cols must be equal-length 1-d")
+    # checked before keying: row * n_cols + col would alias an
+    # out-of-range column with a neighbouring row
+    for what, idx, bound in (("row", rows, shape[0]),
+                             ("column", cols, shape[1])):
+        if idx.size and (idx.min() < 0 or idx.max() >= bound):
+            raise InvalidParameterError(f"{what} index outside [0, {bound})")
+    indptr, indices, entry = coo_pattern(rows * shape[1] + cols, shape)
     data = np.bincount(entry, weights=np.asarray(vals, dtype=np.float64),
                        minlength=indices.shape[0])
     return CsrMatrix(indptr=indptr, indices=indices, data=data,

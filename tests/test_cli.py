@@ -17,6 +17,12 @@ def test_mesh_command(capsys, tmp_path):
     assert out.read_text().startswith("tetmesh 27 48")
 
 
+def test_mesh_check_angle_reports_unstored_zero(capsys):
+    # the n=1 Kuhn cube stores only negative off-diagonals
+    assert main(["mesh", "--mesh-n", "1", "--check-angle"]) == 0
+    assert "(worst off-diagonal 0.000e+00)" in capsys.readouterr().out
+
+
 def test_mesh_from_file(capsys, tmp_path):
     path = tmp_path / "m.txt"
     main(["mesh", "--mesh-n", "1", "--out", str(path)])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from llgpc.errors import InvalidParameterError, ProjectionDegenerateError
-from llgpc.fem import (apply_Ph, build_assemblies, check_angle_condition,
-                       discrete_laplacian, grad_sq, inner_l2, nodal_cross,
-                       nodal_project_sphere, norms)
+from llgpc.fem import (_p1_gradients, apply_Ph, build_assemblies,
+                       check_angle_condition, discrete_laplacian, grad_sq,
+                       inner_l2, nodal_cross, nodal_project_sphere, norms)
 from llgpc.linalg import spmv
 from llgpc.mesh import Mesh, build_cube_mesh
 
@@ -39,10 +39,29 @@ def perturbed_cube3():
 
 
 class TestAssembly:
-    def test_matrices_share_one_pattern(self):
-        asm = build_assemblies(perturbed_cube3())
-        assert np.array_equal(asm.stiffness.indptr, asm.mass.indptr)
-        assert np.array_equal(asm.stiffness.indices, asm.mass.indices)
+    def test_stiffness_pattern_within_mass_pattern(self):
+        for mesh in (build_cube_mesh(2, 1.0), perturbed_cube3()):
+            asm = build_assemblies(mesh)
+            a, m = asm.stiffness, asm.mass
+            mass_keys = m.rows * m.n_cols + m.indices
+            assert np.isin(a.rows * a.n_cols + a.indices, mass_keys).all()
+
+    def test_kuhn_stiffness_stores_no_zeros(self):
+        stiffness = build_assemblies(build_cube_mesh(8, 1.0)).stiffness
+        assert not np.any(stiffness.data == 0.0)
+        assert stiffness.nnz == 4617
+
+    @pytest.mark.parametrize("mesh", [build_cube_mesh(2, 1.0),
+                                      perturbed_cube3()],
+                             ids=["kuhn_n2", "perturbed_n3"])
+    def test_stiffness_equals_dense_accumulation_in_tet_order(self, mesh):
+        grads = _p1_gradients(mesh)
+        ke = np.einsum("tic,tjc,t->tij", grads, grads, mesh.volumes)
+        expected = np.zeros((mesh.n_vertices, mesh.n_vertices))
+        for t, tet in enumerate(mesh.tets):
+            np.add.at(expected, (tet[:, None], tet[None, :]), ke[t])
+        assert np.array_equal(dense(build_assemblies(mesh).stiffness),
+                              expected)
 
     def test_mass_equals_dense_accumulation_in_tet_order(self):
         mesh = perturbed_cube3()
@@ -61,7 +80,7 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 25 * 2**20
+        assert peak < 14 * 2**20
 
 
 class TestStiffness:
@@ -259,13 +278,27 @@ class TestAngleCondition:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_kuhn_meshes_pass(self, n):
         asm = build_assemblies(build_cube_mesh(n, 1.0))
-        assert check_angle_condition(asm.stiffness).passed
+        report = check_angle_condition(asm.stiffness)
+        assert report.passed
+        # every stored coupling is negative; the unstored ones are 0.0
+        assert report.worst_offdiag == 0.0
 
     def test_regular_tet_passes(self):
         verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                          dtype=float)
         mesh = oriented_mesh(verts, [[0, 1, 2, 3]])
-        assert check_angle_condition(build_assemblies(mesh).stiffness).passed
+        report = check_angle_condition(build_assemblies(mesh).stiffness)
+        assert report.passed
+        # every vertex pair is stored: the worst is a coupling itself
+        assert report.worst_offdiag == pytest.approx(-1.0 / 6.0)
+
+    @pytest.mark.parametrize("mesh, worst", [
+        (build_cube_mesh(4, 0.4), 9.25e-19),
+        (perturbed_cube3(), 0.0475),
+    ], ids=["kuhn_n4_edge0.4", "perturbed_n3"])
+    def test_worst_offdiag_stored(self, mesh, worst):
+        report = check_angle_condition(build_assemblies(mesh).stiffness)
+        assert report.worst_offdiag == pytest.approx(worst, rel=1e-3)
 
     def test_obtuse_sliver_pair_fails(self):
         # two flat tets over a shared triangle: apexes close to its plane
