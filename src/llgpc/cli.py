@@ -33,9 +33,7 @@ def _add_mesh_flags(p):
 
 
 def _add_physics_flags(p):
-    p.add_argument("--scheme", choices=SCHEMES, default="PC2")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--k", type=float, default=1e-3, help="time-step size")
+    """Flags run, converge and sweep all read (not --scheme, --theta, --k)."""
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--ellex", type=float, default=1.0, help="exchange length")
     p.add_argument("--pi-uniaxial", type=float, nargs=4, default=None,
@@ -55,16 +53,22 @@ def _build_parser():
         description="Mass-lumped predictor-corrector magnetization dynamics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pm = sub.add_parser("mesh", help="build, inspect, or angle-check a mesh")
+    def command(name, help):  # no prefixes: --k must not pass for --ks
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    pm = command("mesh", help="build, inspect, or angle-check a mesh")
     _add_mesh_flags(pm)
     pm.add_argument("--check-angle", action="store_true",
                     help="verify nonpositive off-diagonal stiffness entries")
     pm.add_argument("--out", type=Path, default=None,
                     help="write the mesh in the text format")
 
-    pr = sub.add_parser("run", help="run one trajectory and write a trace CSV")
+    pr = command("run", help="run one trajectory and write a trace CSV")
     _add_mesh_flags(pr)
     _add_physics_flags(pr)
+    pr.add_argument("--scheme", choices=SCHEMES, default="PC2")
+    pr.add_argument("--theta", type=float, default=0.5)
+    pr.add_argument("--k", type=float, default=1e-3, help="time-step size")
     pr.add_argument("--T", type=float, required=True, help="final time")
     pr.add_argument("--stride", type=int, default=1)
     pr.add_argument("--relax", action="store_true",
@@ -74,9 +78,10 @@ def _build_parser():
     pr.add_argument("--fail-on-unstable", action="store_true")
     pr.add_argument("--out", type=Path, default=None)
 
-    pc = sub.add_parser("converge", help="time-step convergence study CSV")
+    pc = command("converge", help="time-step convergence study CSV")
     _add_mesh_flags(pc)
     _add_physics_flags(pc)
+    pc.add_argument("--theta", type=float, default=0.5)
     pc.add_argument("--T", type=float, required=True)
     pc.add_argument("--schemes", nargs="+", choices=SCHEMES, default=["PC2"])
     pc.add_argument("--ks", type=float, nargs="+", required=True,
@@ -84,9 +89,10 @@ def _build_parser():
     pc.add_argument("--k-ref", type=float, required=True)
     pc.add_argument("--out", type=Path, default=None)
 
-    ps = sub.add_parser("sweep", help="theta-k stability sweep CSV")
+    ps = command("sweep", help="theta-k stability sweep CSV")
     _add_mesh_flags(ps)
     _add_physics_flags(ps)
+    ps.add_argument("--scheme", choices=SCHEMES, default="PC2")
     ps.add_argument("--thetas", type=float, nargs="+", required=True)
     ps.add_argument("--ks", type=float, nargs="+", required=True)
     ps.add_argument("--t-cap", type=float, default=100.0,

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all llgpc modules, and the scalar check
-that raises one of them."""
+"""Exception hierarchy shared by all llgpc modules, and the scalar checks
+that raise one of them."""
 
 import math
 import numbers
@@ -24,6 +24,13 @@ def check_real(x, what: str, positive: bool = False,
             f"real number, got {x!r}")
 
 
+def check_int(x, what: str, low: int,
+              error: type = InvalidParameterError) -> None:
+    """Raise `error` unless x is an integer (numpy integers too) >= low."""
+    if not (isinstance(x, numbers.Integral) and x >= low):
+        raise error(f"{what} must be an integer >= {low}, got {x!r}")
+
+
 class ConfigError(LlgpcError, ValueError):
     """A run/sweep configuration is inconsistent or incomplete."""
 
@@ -33,8 +40,8 @@ class ParseError(LlgpcError, ValueError):
 
 
 class GeometryError(LlgpcError, ValueError):
-    """A mesh is geometrically invalid: a non-finite coordinate or a
-    non-positive tet volume."""
+    """A mesh is geometrically invalid: a non-finite coordinate, a vertex
+    that no tet uses, or a non-positive tet volume."""
 
 
 class ProjectionDegenerateError(LlgpcError):

@@ -7,15 +7,14 @@ per (scheme, k) pair; the stability sweep one row per (theta, k) cell.
 
 import csv
 import io
-import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError, LlgpcError,
-                     SolverFailure, check_real)
+                     SolverFailure, check_int, check_real)
 from .fem import UNIT_TOL, Assemblies, build_assemblies, grad_sq, norms
 from .llg import (EffectiveField, IntegratorConfig, SimState, energy, step)
 from .mesh import Mesh, build_cube_mesh
@@ -23,14 +22,18 @@ from .mesh import Mesh, build_cube_mesh
 RELAX_GRAD_SQ_TOL = 1e-8
 ORDER_POINTS = 3  # finest step sizes in the convergence-order fit
 
-TRACE_COLUMNS = ("ell", "t", "energy", "grad_sq", "mean_mx", "mean_my",
-                 "mean_mz", "max_unit_err", "predictor_iterations",
-                 "wall_time")
-
 
 def _num(x) -> str:
     """CSV text of a real: the Python float repr, also for numpy scalars."""
     return repr(float(x))
+
+
+def _csv(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def init_state(mesh: Mesh, kind: str, seed: int = 0) -> np.ndarray:
@@ -42,8 +45,7 @@ def init_state(mesh: Mesh, kind: str, seed: int = 0) -> np.ndarray:
     origin with m = e3 at the origin itself; the origin must lie strictly
     inside the mesh bounding box.
     """
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    check_int(seed, "seed", 0, error=ConfigError)
     n = mesh.n_vertices
     if kind == "uniform":
         m = np.zeros((n, 3))
@@ -88,10 +90,11 @@ class TraceRow:
     wall_time: float
 
     def as_list(self):
-        return [self.ell, _num(self.t), _num(self.energy), _num(self.grad_sq),
-                _num(self.mean_mx), _num(self.mean_my), _num(self.mean_mz),
-                _num(self.max_unit_err), self.predictor_iterations,
-                _num(self.wall_time)]
+        return [_num(getattr(self, f.name)) if f.type is float
+                else getattr(self, f.name) for f in fields(self)]
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_real(self.t_end, "t_end", positive=True, error=ConfigError)
-        if not (isinstance(self.stride, numbers.Integral) and self.stride >= 1):
-            raise ConfigError(f"stride must be an integer >= 1, "
-                              f"got {self.stride!r}")
+        check_int(self.stride, "stride", 1, error=ConfigError)
         n_steps = self.t_end / self.integrator.k
         check_real(n_steps, "step count t_end / k", error=ConfigError)
         if abs(n_steps - round(n_steps)) > 1e-9 * max(n_steps, 1.0):
@@ -153,15 +154,18 @@ def _row(asm, cfg: RunConfig, state: SimState, t0: float,
 
 
 def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
-                   snapshot_times: Sequence[float] = ()) -> RunResult:
+                   snapshot_steps: Sequence[int] = ()) -> RunResult:
     """Step from m0 to t_end, recording a trace every `stride` steps.
 
     Relax mode stops once ||grad m||^2 <= 1e-8.  With stability monitoring
     on, any increase of ||grad m||^2 aborts the run with status 'unstable'.
     Solver failures terminate the run with the partial trace intact.  An
     m0 that is not a finite unit field is rejected before any step.  The
-    state at each snapshot time j*k is kept under its step index j.
+    state after each snapshot step j (an integer >= 0) is kept under j.
     """
+    for j in snapshot_steps:
+        check_int(j, "snapshot step", 0, error=ConfigError)
+    snap_steps = set(snapshot_steps)
     k = cfg.integrator.k
     t0 = time.perf_counter()
     state = SimState(ell=0, m_curr=np.array(m0, dtype=np.float64))
@@ -175,13 +179,6 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
             f"m0 must be a unit field: |m0({z})| = {float(mods[z])!r}")
     gsq_prev = grad_sq(asm.stiffness, state.m_curr)
     trace = [_row(asm, cfg, state, t0, gsq_prev)]
-    snap_steps = set()
-    for ts in snapshot_times:
-        check_real(ts, "snapshot time", error=ConfigError)
-        j = int(round(ts / k))
-        if abs(j * k - ts) > 1e-9 * max(abs(ts), 1.0):
-            raise ConfigError(f"snapshot time {ts} is not a multiple of k")
-        snap_steps.add(j)
     snapshots = {}
     if 0 in snap_steps:
         snapshots[0] = state.m_curr.copy()
@@ -217,12 +214,7 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
 
 
 def trace_to_csv(trace: Sequence[TraceRow]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TRACE_COLUMNS)
-    for row in trace:
-        w.writerow(row.as_list())
-    return buf.getvalue()
+    return _csv(TRACE_COLUMNS, (row.as_list() for row in trace))
 
 
 @dataclass
@@ -256,13 +248,15 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     The reference uses the midpoint corrector scheme at step size k_ref;
     every study step size must be an integer multiple of k_ref so that
     errors can be compared at shared time nodes.  The error for each k is
-    the maximum H1-norm difference over all its time nodes.  A run that
-    fails raises its SolverFailure.
+    the maximum H1-norm difference over all its time nodes.  Every run's
+    config is built, and so checked, before the first run starts.  A run
+    that fails raises its SolverFailure.
     """
     check_real(k_ref, "k_ref", positive=True, error=ConfigError)
     check_real(t_end, "t_end", positive=True, error=ConfigError)
     check_real(t_end / k_ref, "step count t_end / k_ref", error=ConfigError)
     ks = sorted(set(float(k) for k in ks), reverse=True)
+    ratios = []
     for k in ks:
         check_real(k, "k", positive=True, error=ConfigError)
         ratio = k / k_ref
@@ -271,34 +265,31 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
             raise ConfigError(
                 f"k={k} is not an integer multiple of k_ref={k_ref}"
             )
+        ratios.append(round(ratio))
 
+    def config(scheme, k):  # a trace row at t = 0 and t = t_end only
+        return RunConfig(
+            integrator=IntegratorConfig(scheme=scheme, k=k, theta=theta,
+                                        alpha=alpha, lin_tol=lin_tol),
+            field=field_cfg, t_end=t_end, stride=max(int(round(t_end / k)), 1))
+
+    ref_cfg = config("PC2", k_ref)
+    grid = [[(config(scheme, k), ratio) for k, ratio in zip(ks, ratios)]
+            for scheme in schemes]
     # reference steps: the union of every study run's time nodes
-    ref_steps = sorted({j * round(k / k_ref)
-                        for k in ks for j in range(int(round(t_end / k)) + 1)})
-
-    ref_cfg = RunConfig(
-        integrator=IntegratorConfig(scheme="PC2", k=k_ref, theta=theta,
-                                    alpha=alpha, lin_tol=lin_tol),
-        field=field_cfg, t_end=t_end, stride=max(int(round(t_end / k_ref)), 1))
-    ref = run_simulation(asm, ref_cfg, m0,
-                         snapshot_times=[j * k_ref for j in ref_steps])
+    ref_steps = {j * ratio for row in grid for cfg, ratio in row
+                 for j in range(cfg.n_steps + 1)}
+    ref = run_simulation(asm, ref_cfg, m0, snapshot_steps=ref_steps)
     if ref.status == "failed":
         raise ref.error
 
     results = []
-    for scheme in schemes:
+    for scheme, row in zip(schemes, grid):
         t_start = time.perf_counter()
         errors = []
-        for k in ks:
-            ratio = round(k / k_ref)
-            steps = range(int(round(t_end / k)) + 1)
-            cfg = RunConfig(
-                integrator=IntegratorConfig(scheme=scheme, k=k, theta=theta,
-                                            alpha=alpha, lin_tol=lin_tol),
-                field=field_cfg, t_end=t_end,
-                stride=max(int(round(t_end / k)), 1))
-            res = run_simulation(asm, cfg, m0,
-                                 snapshot_times=[j * k for j in steps])
+        for cfg, ratio in row:
+            steps = range(cfg.n_steps + 1)
+            res = run_simulation(asm, cfg, m0, snapshot_steps=steps)
             if res.status == "failed":
                 raise res.error
             err = 0.0
@@ -314,14 +305,9 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
 
 
 def convergence_to_csv(results: Sequence[ConvergenceResult]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["scheme", "k", "h1_error", "slope", "wall_time"])
-    for r in results:
-        for k, e in zip(r.ks, r.errors):
-            w.writerow([r.scheme, _num(k), _num(e), _num(r.slope),
-                        _num(r.wall_time)])
-    return buf.getvalue()
+    return _csv(("scheme", "k", "h1_error", "slope", "wall_time"),
+                ([r.scheme, _num(k), _num(e), _num(r.slope), _num(r.wall_time)]
+                 for r in results for k, e in zip(r.ks, r.errors)))
 
 
 # sweep cell status of each run status
@@ -349,36 +335,36 @@ def run_stability_sweep(asm: Assemblies, field_cfg: EffectiveField,
     the way down to the relaxed threshold; any increase flags it unstable
     immediately.  Hitting the time cap without reaching the threshold is
     inconclusive (counted as not stable).  Solver failures are recorded as
-    their own status, also not stable; bad input raises.  Grid order is
-    deterministic: thetas outer, ks inner, in the order given.
+    their own status, also not stable; bad input raises, and every cell's
+    config is built, and so checked, before the first run starts.  Grid
+    order is deterministic: thetas outer, ks inner, in the order given.
     """
     check_real(t_cap, "t_cap", positive=True, error=ConfigError)
+
+    def config(theta, k):
+        check_real(k, "k", positive=True, error=ConfigError)
+        check_real(t_cap / k, "step count t_cap / k", error=ConfigError)
+        n_steps = int(np.ceil(t_cap / k))
+        return RunConfig(
+            integrator=IntegratorConfig(scheme=scheme, k=k, theta=theta,
+                                        alpha=alpha, lin_tol=lin_tol),
+            field=field_cfg, t_end=n_steps * k, stride=n_steps,
+            relax=True, monitor_stability=True)
+
     cells = []
-    for theta in thetas:
-        for k in ks:
-            check_real(k, "k", positive=True, error=ConfigError)
-            check_real(t_cap / k, "step count t_cap / k", error=ConfigError)
-            n_steps = int(np.ceil(t_cap / k))
-            cfg = RunConfig(
-                integrator=IntegratorConfig(scheme=scheme, k=k, theta=theta,
-                                            alpha=alpha, lin_tol=lin_tol),
-                field=field_cfg, t_end=n_steps * k, stride=n_steps,
-                relax=True, monitor_stability=True)
-            res = run_simulation(asm, cfg, m0)
-            status, steps = _CELL_STATUS[res.status], res.state.ell
-            cells.append(SweepCell(theta=theta, k=k, stable=status == "stable",
-                                   status=status, steps_taken=steps))
+    for cfg in [config(theta, k) for theta in thetas for k in ks]:
+        res = run_simulation(asm, cfg, m0)
+        status = _CELL_STATUS[res.status]
+        cells.append(SweepCell(theta=cfg.integrator.theta, k=cfg.integrator.k,
+                               stable=status == "stable", status=status,
+                               steps_taken=res.state.ell))
     return cells
 
 
 def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["theta", "k", "stable", "status", "steps_taken"])
-    for c in cells:
-        w.writerow([_num(c.theta), _num(c.k), int(c.stable), c.status,
-                    c.steps_taken])
-    return buf.getvalue()
+    return _csv(("theta", "k", "stable", "status", "steps_taken"),
+                ([_num(c.theta), _num(c.k), int(c.stable), c.status,
+                  c.steps_taken] for c in cells))
 
 
 def make_cube_assemblies(n: int, edge: float = 1.0,

@@ -78,10 +78,6 @@ class EffectiveField:
             return _field_vector(self.applied(t), f"applied field at t={t}")
         return self.applied
 
-    @property
-    def has_lower_order(self) -> bool:
-        return self.uniaxial is not None or self.applied is not None
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -127,11 +123,13 @@ def ph_pi(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray,
 
 
 def lower_field(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray,
-                t: float) -> np.ndarray:
-    """P_h(pi(w) + f(t)) for a P1 field w."""
+                t: float) -> Optional[np.ndarray]:
+    """P_h(pi(w) + f(t)) for a P1 field w; None if h_eff has neither."""
+    f = field_cfg.f_at(t)
+    if field_cfg.uniaxial is None and f is None:
+        return None
     h = (ph_pi(asm, field_cfg, w) if field_cfg.uniaxial is not None
          else np.zeros_like(w))  # P_h 0 = 0 without a mass product
-    f = field_cfg.f_at(t)
     if f is not None:
         h = h + f  # P_h of a constant is the constant itself
     return h
@@ -207,8 +205,7 @@ def predictor_fully_implicit(m: np.ndarray, cfg: IntegratorConfig,
                              t: float):
     """PC1/PC2 predictor with the lower-order field P_h pi(m + theta k v) +
     f(t + theta k); pi is linear, so this is one predictor_full solve."""
-    h_lower = (lower_field(asm, field_cfg, m, t + cfg.theta * cfg.k)
-               if field_cfg.has_lower_order else None)
+    h_lower = lower_field(asm, field_cfg, m, t + cfg.theta * cfg.k)
     return predictor_full(m, cfg, field_cfg, asm, h_lower,
                           implicit_pi=field_cfg.uniaxial is not None)
 
@@ -233,8 +230,9 @@ def corrector_pc2(m: np.ndarray, v: np.ndarray, cfg: IntegratorConfig,
     a2 = 1.0 + cfg.alpha ** 2
     u = m + 0.5 * cfg.k * v
     f_mid = exchange_field(asm, field_cfg, u)
-    if field_cfg.has_lower_order:
-        f_mid = f_mid + lower_field(asm, field_cfg, u, t + 0.5 * cfg.k)
+    h_lower = lower_field(asm, field_cfg, u, t + 0.5 * cfg.k)
+    if h_lower is not None:
+        f_mid = f_mid + h_lower
     c = 0.5 * cfg.k * (f_mid + cfg.alpha * nodal_cross(u, f_mid))
     # (a I - [c]_x)^{-1} = (a^2 I + a [c]_x + c c^T) / (a (a^2 + |c|^2))
     csq = np.einsum("ij,ij->i", c, c)
@@ -256,22 +254,16 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
 
     if scheme in ("PC1", "PC2"):
         v, iters = predictor_fully_implicit(m, cfg, field_cfg, asm, t)
-    elif scheme in ("PC1_IMEX", "PC1_PROJFREE"):
-        h_lower = None
-        if field_cfg.has_lower_order:
-            h_lower = lower_field(asm, field_cfg, m, t)
-        v, iters = predictor_full(m, cfg, field_cfg, asm, h_lower=h_lower)
-    elif scheme == "PC2_IMEX":
-        if state.m_prev is None:
-            raise InvalidParameterError("PC2_IMEX needs m_prev for ell >= 1")
-        h_lower = None
-        if field_cfg.has_lower_order:
+    else:  # IMEX and projection-free: the lower-order field is explicit
+        w, t_lower = m, t
+        if scheme == "PC2_IMEX":
+            if state.m_prev is None:
+                raise InvalidParameterError("PC2_IMEX needs m_prev for ell >= 1")
             # pi is linear: extrapolate its argument, not its values
             w = (1.0 + cfg.theta) * m - cfg.theta * state.m_prev
-            h_lower = lower_field(asm, field_cfg, w, t + cfg.theta * cfg.k)
-        v, iters = predictor_full(m, cfg, field_cfg, asm, h_lower=h_lower)
-    else:  # pragma: no cover
-        raise InvalidParameterError(f"unknown scheme {scheme!r}")
+            t_lower = t + cfg.theta * cfg.k
+        v, iters = predictor_full(m, cfg, field_cfg, asm,
+                                  lower_field(asm, field_cfg, w, t_lower))
 
     if scheme in ("PC1", "PC1_IMEX"):
         m_next = corrector_project(m, v, cfg.k)

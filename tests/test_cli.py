@@ -1,8 +1,14 @@
-import numpy as np
+import argparse
+
 import pytest
 
-from llgpc.cli import main
+from llgpc.cli import _build_parser, main
 from llgpc.harness import TRACE_COLUMNS
+from llgpc.mesh import build_cube_mesh, save_mesh
+
+MESH = ["--center", "--edge", "--mesh-file", "--mesh-n"]
+PHYSICS = ["--alpha", "--ellex", "--f", "--init", "--lin-tol", "--pi-uniaxial",
+           "--seed"]
 
 
 def test_mesh_command(capsys, tmp_path):
@@ -86,6 +92,53 @@ def test_inverted_mesh_file_exit_code(command, tmp_path, capsys):
     path.write_text("tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 2 1 3\n")
     assert main(command + ["--mesh-file", str(path)]) == 2
     assert "tet 0 has non-positive volume" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["mesh", "--check-angle"],
+                                     ["run", "--T", "1e-2"]])
+def test_unused_vertex_mesh_file_exit_code(command, tmp_path, capsys):
+    # the n=1 cube plus a vertex no tet uses: its lumped mass would be 0
+    lines = save_mesh(build_cube_mesh(1, 1.0)).split("\n")
+    lines[0], lines[9:9] = "tetmesh 9 6", ["2.0 2.0 2.0"]
+    path = tmp_path / "unused.txt"
+    path.write_text("\n".join(lines))
+    assert main(command + ["--mesh-file", str(path)]) == 2
+    assert "vertex 8 is used by no tet" in capsys.readouterr().err
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    # adding or dropping a flag must show up as a diff here
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(s for a in p._actions for s in a.option_strings
+                          if s not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "mesh": sorted(MESH + ["--check-angle", "--out"]),
+        "run": sorted(MESH + PHYSICS + [
+            "--T", "--fail-on-unstable", "--k", "--monitor-stability",
+            "--out", "--relax", "--scheme", "--stride", "--theta"]),
+        "converge": sorted(MESH + PHYSICS + [
+            "--T", "--k-ref", "--ks", "--out", "--schemes", "--theta"]),
+        "sweep": sorted(MESH + PHYSICS + [
+            "--ks", "--out", "--scheme", "--t-cap", "--thetas"]),
+    }
+
+
+@pytest.mark.parametrize("flag", [["--scheme", "PC1"], ["--k", "7"]])
+def test_converge_rejects_flags_it_does_not_read(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--mesh-n", "1", "--T", "0.004", "--ks", "2e-3",
+              "--k-ref", "1e-3"] + flag)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--theta", "0.9"], ["--k", "99"]])
+def test_sweep_rejects_flags_it_does_not_read(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--mesh-n", "1", "--thetas", "0.5", "--ks", "1e-3",
+              "--t-cap", "1e-2"] + flag)
+    assert exc.value.code == 2
 
 
 def test_run_fail_on_unstable(tmp_path, capsys):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from llgpc import fem, harness, llg
-from llgpc.errors import (ConfigError, InvalidParameterError,
+from llgpc.errors import (ConfigError, InvalidParameterError, LlgpcError,
                           NoConvergenceError, SolverFailure)
-from llgpc.harness import (RunConfig, TRACE_COLUMNS, convergence_to_csv,
+from llgpc.harness import (RunConfig, convergence_to_csv,
                            estimated_order, init_state, make_cube_assemblies,
                            run_convergence_study, run_simulation,
                            run_stability_sweep, sweep_to_csv, trace_to_csv)
@@ -153,15 +153,15 @@ class TestRunSimulation:
         assert last.energy == llg.energy(asm, fld, res.state.m_curr, last.t)
 
     def test_snapshots_keyed_by_step_index(self):
-        # 0.1 * 3 == 0.30000000000000004: a time key would miss 0.3
         asm = make_cube_assemblies(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_IMEX", k=0.1),
                         field=EffectiveField(), t_end=0.5)
         m0 = init_state(asm.mesh, "random", seed=3)
-        res = run_simulation(asm, cfg, m0, snapshot_times=[0.0, 0.3, 0.1 * 3])
+        res = run_simulation(asm, cfg, m0, snapshot_steps=[0, 3, np.int64(3)])
         at_3 = run_simulation(asm, replace(cfg, t_end=0.3), m0).state.m_curr
         assert res.status == "completed"
         assert sorted(res.snapshots) == [0, 3]
+        assert np.array_equal(res.snapshots[0], m0)
         assert np.array_equal(res.snapshots[3], at_3)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -225,7 +225,11 @@ class TestRunSimulation:
         lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
                                               [np.inf], 1e-3, 1e-2, m0),
         lambda asm, m0: run_simulation(asm, run_config(), m0,
-                                       snapshot_times=[1e-3, np.nan]),
+                                       snapshot_steps=[1, np.nan]),
+        lambda asm, m0: run_simulation(asm, run_config(), m0,
+                                       snapshot_steps=[1, 2.0]),
+        lambda asm, m0: run_simulation(asm, run_config(), m0,
+                                       snapshot_steps=[1, -1]),
         # t_end / k, t_cap / k, t_end / k_ref and k / k_ref overflow to inf
         lambda asm, m0: RunConfig(
             integrator=IntegratorConfig(scheme="PC2", k=1e-320),
@@ -238,12 +242,43 @@ class TestRunSimulation:
                                               [1e10], 1e-300, 1.0, m0),
     ], ids=["t_end_inf", "t_end_nan", "stride_float", "stride_str",
             "t_cap_inf", "sweep_k_0", "k_ref_0", "k_ref_nan", "study_t_end_inf",
-            "study_k_inf", "snapshot_nan", "run_k_tiny", "sweep_k_tiny",
+            "study_k_inf", "snapshot_nan", "snapshot_float",
+            "snapshot_negative", "run_k_tiny", "sweep_k_tiny",
             "study_k_ref_tiny", "study_k_over_k_ref_inf"])
     def test_bad_run_length_rejected(self, start):
         asm = make_cube_assemblies(1)
         with pytest.raises(ConfigError):
             start(asm, init_state(asm.mesh, "uniform"))
+
+    @pytest.mark.parametrize("start,match", [
+        (lambda asm, m0: run_convergence_study(
+            asm, EffectiveField(), ["PC2", "PC3"], [2e-3], 1e-3, 1e-2, m0),
+         "unknown scheme 'PC3'"),
+        (lambda asm, m0: run_convergence_study(
+            asm, EffectiveField(), ["PC2"], [3e-3], 1e-3, 1e-2, m0),
+         "t_end must be an integer multiple of k"),
+        (lambda asm, m0: run_stability_sweep(
+            asm, EffectiveField(), "PC2", [0.5, 1.5], [1e-3], m0, t_cap=1e-2),
+         "theta must lie in"),
+        (lambda asm, m0: run_stability_sweep(
+            asm, EffectiveField(), "PC2", [0.5], [1e-3, 0.0], m0, t_cap=1e-2),
+         "k must be a finite positive"),
+    ], ids=["study_unknown_second_scheme", "study_t_end_not_multiple_of_k",
+            "sweep_second_theta_above_1", "sweep_second_k_0"])
+    def test_study_and_sweep_check_every_run_before_the_first(
+            self, start, match, monkeypatch):
+        asm = make_cube_assemblies(1)
+        calls = []
+        inner = harness.run_simulation
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_simulation", spy)
+        with pytest.raises(LlgpcError, match=match):
+            start(asm, init_state(asm.mesh, "uniform"))
+        assert calls == []
 
 
 class TestCsvOutput:
@@ -256,7 +291,8 @@ class TestCsvOutput:
         a = trace_to_csv(run_simulation(asm, cfg, m0).trace)
         b = trace_to_csv(run_simulation(asm, cfg, m0).trace)
         lines_a = a.split("\n")
-        assert lines_a[0] == ",".join(TRACE_COLUMNS)
+        assert lines_a[0] == ("ell,t,energy,grad_sq,mean_mx,mean_my,mean_mz,"
+                              "max_unit_err,predictor_iterations,wall_time")
         assert "\r" not in a
         # bitwise identical except the wall-time column
         strip = lambda text: ["," .join(row.split(",")[:-1])

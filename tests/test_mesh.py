@@ -97,6 +97,12 @@ class TestMakeMesh:
         with pytest.raises(GeometryError):
             load_mesh(text)
 
+    def test_unused_vertex_rejected(self):
+        # its hat function is zero, so Lap_h and P_h would divide by 0
+        verts = np.vstack([UNIT_TET[:2], [[5.0, 5.0, 5.0]], UNIT_TET[2:]])
+        with pytest.raises(GeometryError, match="vertex 2 is used by no tet"):
+            Mesh(verts, np.array([[0, 1, 3, 4]]))
+
     def test_orientation_fix(self):
         mesh = oriented_mesh(UNIT_TET, [[0, 1, 3, 2]])
         assert mesh.tets.tolist() == [[0, 1, 2, 3]]
