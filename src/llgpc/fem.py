@@ -115,10 +115,8 @@ def apply_Ph(mass: CsrMatrix, beta: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def nodal_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Nodal interpolant of u x w; the products and differences of np.cross,
-    so bitwise equal to it, without its axis handling.  The result takes
-    the memory order of w: Fortran for a Fortran-ordered field, else C."""
-    out = np.empty(np.broadcast(u, w).shape,
-                   order="F" if np.isfortran(w) else "C")
+    so bitwise equal to it, without its axis handling."""
+    out = np.empty(np.broadcast(u, w).shape)
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
     w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
     np.subtract(u1 * w2, u2 * w1, out=out[..., 0])

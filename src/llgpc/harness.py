@@ -113,6 +113,9 @@ class RunConfig:
         check_int(self.stride, "stride", 1, error=ConfigError)
         n_steps = self.t_end / self.integrator.k
         check_real(n_steps, "step count t_end / k", error=ConfigError)
+        if round(n_steps) < 1:
+            raise ConfigError(f"t_end={self.t_end} is less than one step "
+                              f"k={self.integrator.k}")
         if abs(n_steps - round(n_steps)) > 1e-9 * max(n_steps, 1.0):
             raise ConfigError("t_end must be an integer multiple of k")
 

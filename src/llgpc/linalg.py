@@ -160,6 +160,18 @@ def _norm(x):
     return math.sqrt(float(np.dot(x, x)))
 
 
+def _arnoldi_residual(V, cs, sn, g_k, k):
+    """b - A x after a cycle of k Arnoldi steps with no breakdown, from the
+    Arnoldi relation A V_k = V_{k+1} H: r = V_{k+1} Q^T (g_k e_{k+1}), with
+    Q the cycle's Givens rotations, applied last to first."""
+    u = np.zeros(k + 1)
+    u[k] = g_k
+    for i in range(k - 1, -1, -1):
+        u[i] = -sn[i] * u[i + 1]
+        u[i + 1] *= cs[i]
+    return u @ V[:k + 1]
+
+
 def gmres(apply, b, rtol=1e-12):
     """Restarted GMRES (Saad & Schultz 1986) for a square operator given as
     a callback.
@@ -168,9 +180,14 @@ def gmres(apply, b, rtol=1e-12):
     Gram-Schmidt: short cycles keep the per-step orthogonalisation cheap,
     and the predictors' iteration counts hardly depend on the length.  The
     Krylov basis is allocated once per solve and reused by every cycle.
+    A cycle that ends short of tol restarts from the residual the Arnoldi
+    relation gives, with no operator application; the true residual
+    b - A x is applied only where a cycle's estimate meets tol, at a
+    breakdown and at the budget, and only it can accept x.  A solve thus
+    makes one application per iteration plus one per true residual.
 
     Returns a SolveResult with ||b - A x|| <= rtol * ||b||.  Raises
-    NoConvergenceError, carrying the best residual and the iteration
+    NoConvergenceError, carrying the best true residual and the iteration
     count, once max(10 n, 100) iterations are spent, and at once if ||b||
     or a residual is not finite.
     """
@@ -188,18 +205,22 @@ def gmres(apply, b, rtol=1e-12):
                                  residual=bnorm)
     tol = rtol * bnorm
 
-    r = b  # the residual of the zero start; restarts reuse the last one
+    r = b  # the true residual of the zero start
     beta = best_res = bnorm
+    true_residual = True
     total_iters = 0
     # every row a cycle reads is written first in that cycle
     V = np.empty((RESTART + 1, n))
     while True:
-        if beta <= tol:
-            return SolveResult(x=x, iterations=total_iters, residual=beta)
-        # a NaN or inf residual never meets tol: fail now, not after maxit
-        if total_iters >= maxit or not math.isfinite(beta):
-            raise NoConvergenceError("GMRES did not converge",
-                                     residual=best_res, iterations=total_iters)
+        if true_residual:
+            best_res = min(best_res, beta)
+            if beta <= tol:
+                return SolveResult(x=x, iterations=total_iters, residual=beta)
+            # a NaN or inf residual never meets tol: fail now, not after maxit
+            if total_iters >= maxit or not math.isfinite(beta):
+                raise NoConvergenceError("GMRES did not converge",
+                                         residual=best_res,
+                                         iterations=total_iters)
         m = min(RESTART, maxit - total_iters)
         H = np.zeros((m + 1, m))  # zeroed: the solve reads below the diagonal
         cs = np.zeros(m)
@@ -244,6 +265,8 @@ def gmres(apply, b, rtol=1e-12):
         # the Givens steps leave H upper triangular
         y = np.linalg.solve(H[:k_done, :k_done], g[:k_done])
         x = x + V[:k_done].T @ y
-        r = b - apply(x)
+        true_residual = (abs(g[k_done]) <= tol or h_sub == 0.0
+                         or total_iters >= maxit)
+        r = (b - apply(x) if true_residual
+             else _arnoldi_residual(V, cs, sn, g[k_done], k_done))
         beta = _norm(r)
-        best_res = min(best_res, beta)

@@ -12,13 +12,16 @@ so this adds theta k P_h pi(v) to h, with H0 = ell_ex^2 Lap_h m +
 P_h pi(m) + f(t + theta k), and v is still one linear solve.  Dotting with
 m gives (1+a^2) m.v = 0 either way.  This 3N system is the one predictor
 solved here; its equivalent 2N system in nodal tangent coordinates serves
-the tests as an oracle.  pi(w) = c (w.e) e has rank one, so
-P_h pi(w) = c beta^{-1} M (w.e) e takes one scalar mass product, and the
-anisotropy energy is -c/2 (m.e)^T M (m.e).  The PC2 corrector decouples
-into independent 3x3 solves per node because its unknown appears without
-a Laplacian; this is verified against a dense oracle in the tests.  A
-predictor whose solve fails raises NoConvergenceError, which carries the
-best residual and the iteration count, not an iterate.
+the tests as an oracle.  Both cross products of its operator fold into
+one nodal 3x3 block per vertex, built once per solve, so an operator
+application is one stiffness SpMV and one block product.
+pi(w) = c (w.e) e has rank one, so P_h pi(w) = c beta^{-1} M (w.e) e takes
+one scalar mass product, and the anisotropy energy is
+-c/2 (m.e)^T M (m.e).  The PC2 corrector decouples into independent 3x3
+solves per node because its unknown appears without a Laplacian; this is
+verified against a dense oracle in the tests.  A predictor whose solve
+fails raises NoConvergenceError, which carries the best residual and the
+iteration count, not an iterate.
 """
 
 from dataclasses import dataclass, replace
@@ -26,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import fem
 from .errors import InvalidParameterError, check_real
 from .fem import (Assemblies, apply_Ph, discrete_laplacian, grad_sq,
                   inner_l2, nodal_cross, nodal_project_sphere)
@@ -112,14 +116,11 @@ class SimState:
         return self.ell * k
 
 
-def ph_pi(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray,
-          scale: float = 1.0):
-    """scale P_h pi(w) = scale c beta^{-1} M (w.e) e for the uniaxial
-    pi(w) = c (w.e) e: pi has rank one, so one scalar mass product, and the
-    scale multiplies the (N,) scalar before the outer product."""
+def ph_pi(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray):
+    """P_h pi(w) = c beta^{-1} M (w.e) e for the uniaxial pi(w) = c (w.e) e:
+    pi has rank one, so one scalar mass product."""
     u = field_cfg.uniaxial
-    return np.outer(scale * u.c * apply_Ph(asm.mass, asm.beta, w @ u.axis),
-                    u.axis)
+    return np.outer(u.c * apply_Ph(asm.mass, asm.beta, w @ u.axis), u.axis)
 
 
 def lower_field(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray,
@@ -158,6 +159,27 @@ def _cross_damped(m, h, alpha):
     return t + alpha * nodal_cross(m, t)
 
 
+def damped_cross_block(m: np.ndarray, s: np.ndarray,
+                       alpha: float) -> np.ndarray:
+    """Nodal 3x3 blocks B(z) = s_z ([m]_x + alpha (m m^T - |m|^2 I))(z) of
+    an (N, 3) field m, as a (3, 3, N) array.
+
+    B(z) h(z) = s_z (m x h + alpha m x (m x h))(z) for every m, unit or
+    not, since m x (m x h) = (m.h) m - |m|^2 h."""
+    mt = np.ascontiguousarray(m.T)
+    m0, m1, m2 = mt
+    b = alpha * mt[:, None] * mt[None, :]
+    b[[0, 1, 2], [0, 1, 2]] -= alpha * (m0 * m0 + m1 * m1 + m2 * m2)
+    b[0, 1] -= m2
+    b[0, 2] += m1
+    b[1, 0] += m2
+    b[1, 2] -= m0
+    b[2, 0] -= m1
+    b[2, 1] += m0
+    b *= s
+    return b
+
+
 def exchange_field(asm: Assemblies, field_cfg: EffectiveField,
                    m: np.ndarray) -> np.ndarray:
     """ell_ex^2 Lap_h m."""
@@ -170,31 +192,40 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
     """Solve the 3N predictor system with GMRES; returns (v, iterations).
     With implicit_pi the operator also carries theta k P_h pi(v).
 
+    The operator's term c_ex (m x h + a m x (m x h)), c_ex =
+    ell_ex^2 theta k, with h = Lap_h v (+ ell_ex^-2 P_h pi(v)) =
+    -beta^{-1} y, is B y for the per-solve nodal block
+    B = damped_cross_block(m, -c_ex / beta, a) and
+    y = A v (- ell_ex^-2 c M (v.e) e).  An application is thus one
+    stiffness SpMV (plus one scalar mass SpMV under implicit_pi) and one
+    nodal 3x3 product: v -> (1+a^2) v + B y.
+
     The GMRES unknown is ordered component-major (every x, then every y,
-    then every z); GMRES is indifferent to the order of its unknowns.  Its
-    (N, 3) view is then Fortran-ordered, so the Laplacian, P_h pi and both
-    cross products run on contiguous component columns.  v is returned as a
-    C-ordered (N, 3) field."""
+    then every z), so its (3, N) view feeds the SpMV and the block product
+    contiguous component rows; GMRES is indifferent to the order of its
+    unknowns.  v is returned as a C-ordered (N, 3) field."""
     n = asm.n
     a = cfg.alpha
     c_ex = field_cfg.ell_ex ** 2 * cfg.theta * cfg.k
-    st = asm.stiffness
-    beta = asm.beta
 
     h0 = exchange_field(asm, field_cfg, m)
     if h_lower is not None:
         h0 = h0 + h_lower
     rhs = -_cross_damped(m, h0, a)
-    mf = np.asfortranarray(m)
-    pi_scale = 1.0 / field_cfg.ell_ex ** 2
+    block = damped_cross_block(m, -c_ex / asm.beta, a)
+    if implicit_pi:
+        axis = field_cfg.uniaxial.axis
+        pi_scale = field_cfg.uniaxial.c / field_cfg.ell_ex ** 2
 
     def apply(x):
-        v = x.reshape(3, n).T
-        h = discrete_laplacian(st, beta, v)
+        v = x.reshape(3, n)
+        # fem.spmv looked up at call time, as the fem operators do
+        y = fem.spmv(asm.stiffness, v.T).T
         if implicit_pi:
-            h += ph_pi(asm, field_cfg, v, scale=pi_scale)
-        out = (1.0 + a * a) * v + c_ex * _cross_damped(mf, h, a)
-        return out.T.reshape(-1)
+            y -= np.outer(axis, pi_scale * fem.spmv(asm.mass, axis @ v))
+        out = np.einsum("ijz,jz->iz", block, y)
+        out += (1.0 + a * a) * v
+        return out.reshape(-1)
 
     res = gmres(apply, rhs.T.reshape(-1), rtol=cfg.lin_tol)
     return np.ascontiguousarray(res.x.reshape(3, n).T), res.iterations

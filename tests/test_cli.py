@@ -79,8 +79,12 @@ def test_run_config_error_exit_code(capsys):
      "--t-cap", "1"],
     ["converge", "--mesh-n", "1", "--T", "1", "--ks", "1", "--k-ref",
      "1e-320"],
+    ["run", "--mesh-n", "1", "--k", "1", "--T", "1e-12"],
+    ["converge", "--mesh-n", "1", "--T", "1e-12", "--ks", "1", "--k-ref",
+     "1"],
 ], ids=["run_T_inf", "converge_k_ref_0", "sweep_t_cap_inf", "seed_negative",
-        "run_k_tiny", "sweep_k_tiny", "converge_k_ref_tiny"])
+        "run_k_tiny", "sweep_k_tiny", "converge_k_ref_tiny", "run_zero_steps",
+        "converge_zero_steps"])
 def test_bad_run_input_exit_code(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -244,19 +244,6 @@ class TestNodalOps:
         assert nodal_cross(u[7], w).tobytes() == np.cross(u[7], w).tobytes()
         assert nodal_cross(u, w[7]).tobytes() == np.cross(u, w[7]).tobytes()
 
-    def test_cross_takes_memory_order_of_w(self):
-        # the component-major predictor crosses Fortran-ordered fields
-        rng = np.random.Generator(np.random.Philox(24))
-        u = rng.normal(size=(200, 3))
-        w = rng.normal(size=(200, 3))
-        uf, wf = np.asfortranarray(u), np.asfortranarray(w)
-        for a, b in ((uf, wf), (u, wf), (uf, w)):
-            assert np.array_equal(nodal_cross(a, b), nodal_cross(u, w))
-        assert nodal_cross(uf, wf).flags.f_contiguous
-        assert nodal_cross(u, wf).flags.f_contiguous
-        assert nodal_cross(uf, w).flags.c_contiguous
-        assert nodal_cross(uf, w[7]).flags.c_contiguous
-
     def test_project_simple(self):
         u = np.array([[1.0, 1.0, 0.0]])
         assert nodal_project_sphere(u)[0] == pytest.approx(

@@ -210,6 +210,8 @@ class TestRunSimulation:
     @pytest.mark.parametrize("start", [
         lambda asm, m0: run_config(t_end=np.inf),
         lambda asm, m0: run_config(t_end=np.nan),
+        # t_end / k rounds to zero steps: a run would record only ell = 0
+        lambda asm, m0: run_config(t_end=1e-12),
         lambda asm, m0: run_config(stride=1.5),
         lambda asm, m0: run_config(stride="2"),
         lambda asm, m0: run_stability_sweep(asm, EffectiveField(), "PC2",
@@ -240,9 +242,9 @@ class TestRunSimulation:
                                               [1.0], 1e-320, 1.0, m0),
         lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
                                               [1e10], 1e-300, 1.0, m0),
-    ], ids=["t_end_inf", "t_end_nan", "stride_float", "stride_str",
-            "t_cap_inf", "sweep_k_0", "k_ref_0", "k_ref_nan", "study_t_end_inf",
-            "study_k_inf", "snapshot_nan", "snapshot_float",
+    ], ids=["t_end_inf", "t_end_nan", "t_end_zero_steps", "stride_float",
+            "stride_str", "t_cap_inf", "sweep_k_0", "k_ref_0", "k_ref_nan",
+            "study_t_end_inf", "study_k_inf", "snapshot_nan", "snapshot_float",
             "snapshot_negative", "run_k_tiny", "sweep_k_tiny",
             "study_k_ref_tiny", "study_k_over_k_ref_inf"])
     def test_bad_run_length_rejected(self, start):

@@ -250,9 +250,19 @@ class TestGmres:
         rng = np.random.Generator(np.random.Philox(3))
         a = np.eye(20) + 0.15 * rng.normal(size=(20, 20))
         b = rng.normal(size=20)
-        res = gmres(lambda x: a @ x, b, rtol=1e-10)
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return a @ x
+
+        res = gmres(apply, b, rtol=1e-10)
         assert res.iterations > RESTART
         assert np.linalg.norm(b - a @ res.x) <= 1e-10 * np.linalg.norm(b)
+        # a non-final cycle restarts from the Arnoldi residual: one
+        # application per iteration, plus the final true residual
+        assert len(calls) == res.iterations + 1
+        assert res.residual == np.linalg.norm(b - a @ res.x)
 
     def test_budget_exhausted_on_stagnation(self):
         # the cyclic shift S with b = e1: S K_j(S, b) = span(e2 .. e(j+1))

@@ -8,8 +8,9 @@ from llgpc import llg
 from llgpc.errors import InvalidParameterError, NoConvergenceError
 from llgpc.fem import apply_Ph, discrete_laplacian, grad_sq, inner_l2
 from llgpc.llg import (EffectiveField, IntegratorConfig, SimState, Uniaxial,
-                       corrector_pc2, corrector_project, energy, lower_field,
-                       ph_pi, predictor_full, predictor_fully_implicit, step)
+                       corrector_pc2, corrector_project, damped_cross_block,
+                       energy, lower_field, ph_pi, predictor_full,
+                       predictor_fully_implicit, step)
 
 import tangent_oracle
 from conftest import dense, inner_h, random_unit_field, tangency_recorder
@@ -161,6 +162,25 @@ class TestTangentBasis:
     def test_non_unit_rejected(self):
         with pytest.raises(InvalidParameterError):
             tangent_oracle.tangent_basis(np.array([2.0, 0.0, 0.0]))
+
+
+class TestDampedCrossBlock:
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 / 16.0])
+    def test_block_times_h_is_damped_cross_product(self, alpha):
+        # an exact identity for any m, so non-unit m (PC1_PROJFREE) too
+        rng = np.random.Generator(np.random.Philox(61))
+        m = rng.normal(size=(500, 3)) * rng.uniform(0.5, 2.0, size=(500, 1))
+        h = rng.normal(size=(500, 3))
+        s = rng.uniform(-3.0, 3.0, size=500)
+        mxh = np.cross(m, h)
+        ref = s[:, None] * (mxh + alpha * np.cross(m, mxh))
+        out = np.einsum("ijz,zj->zi", damped_cross_block(m, s, alpha), h)
+        # a few ulps of the largest term of the sum
+        scale = (np.abs(s) * np.linalg.norm(m, axis=1)
+                 * np.linalg.norm(h, axis=1)
+                 * (1.0 + alpha * np.linalg.norm(m, axis=1)))
+        assert np.all(np.abs(out - ref) <= 8 * np.finfo(float).eps
+                      * scale[:, None])
 
 
 class TestPredictors:
