@@ -17,17 +17,53 @@ from .mesh import Mesh
 UNIT_TOL = 1e-9
 PROJECTION_DELTA_MIN = 1e-12
 ANGLE_SLACK = 1e-13
+TET_BLOCK = 4096  # a (4096, 4, 4) float64 block is 512 KiB
 
 
 def _p1_gradients(mesh: Mesh):
-    """Constant barycentric gradients per tet: (T, 4, 3)."""
-    x = mesh.vertices[mesh.tets]
-    e = x[:, 1:] - x[:, :1]          # (T, 3, 3) rows x1-x0, x2-x0, x3-x0
-    inv_t = np.linalg.inv(e)          # columns of inv(e) = gradients^T
-    grads = np.empty((mesh.n_tets, 4, 3))
-    grads[:, 1:, :] = np.transpose(inv_t, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads
+    """Constant barycentric gradients per tet: a (T, 4, 3) view of (4, 3, T).
+
+    Cofactors on contiguous component rows, no inverse: with e_k = x_k - x_0,
+    grad_1 = e2 x e3 / det (and cyclically), det = e1.(e2 x e3) and grad_0 =
+    -grad_1 - grad_2 - grad_3.  A zero edge component and a*b - b*a give
+    exact zeros, so a Kuhn tet's stiffness zeros are exact at any edge.
+    """
+    x = mesh.vertices.T[:, mesh.tets.T]           # (3, 4, T)
+    e1, e2, e3 = (x[:, k] - x[:, 0] for k in (1, 2, 3))
+    grads = np.empty((4, 3, mesh.n_tets))
+    for g, (a, b) in zip(grads[1:], ((e2, e3), (e3, e1), (e1, e2))):
+        np.subtract(a[1] * b[2], a[2] * b[1], out=g[0])
+        np.subtract(a[2] * b[0], a[0] * b[2], out=g[1])
+        np.subtract(a[0] * b[1], a[1] * b[0], out=g[2])
+    det = e1[0] * grads[1, 0] + e1[1] * grads[1, 1] + e1[2] * grads[1, 2]
+    grads[1:] /= det
+    np.negative(grads[1], out=grads[0])
+    grads[0] -= grads[2]
+    grads[0] -= grads[3]
+    return grads.transpose(2, 0, 1)
+
+
+def _element_stiffness(grads, vols):
+    """(T, 4, 4) element stiffness V grad_i.grad_j from (T, 4, 3) gradients.
+
+    ((g_i0 g_j0) V + (g_i1 g_j1) V) + (g_i2 g_j2) V once per pair i <= j:
+    the operations of np.einsum("tic,tjc,t->tij", grads, grads, vols), so
+    bitwise equal to it and exactly symmetric.  Blocks of TET_BLOCK tets
+    keep each pair's strided writes in cache.
+    """
+    g = grads.transpose(1, 2, 0)                   # (4, 3, T)
+    ke = np.empty((vols.shape[0], 4, 4))
+    for start in range(0, vols.shape[0], TET_BLOCK):
+        block = slice(start, start + TET_BLOCK)
+        gb, v, kb = g[:, :, block], vols[block], ke[block]
+        for i in range(4):
+            for j in range(i, 4):
+                s = gb[i, 0] * gb[j, 0] * v
+                s += gb[i, 1] * gb[j, 1] * v
+                s += gb[i, 2] * gb[j, 2] * v
+                kb[:, i, j] = s
+                kb[:, j, i] = s
+    return ke
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +90,14 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     - A_{z,z'} = <grad phi_{z'}, grad phi_z>: symmetric, zero row sums.
     - M_{z,z'} = <phi_{z'}, phi_z>: element matrix V/20 * (1 + delta_ij).
     - beta_z = sum over incident tets of V/4.
+    The gradients come from cofactors on component rows (_p1_gradients)
+    and the element stiffness from them, pair by pair (_element_stiffness).
     M stores every vertex pair of a tet, from one stable sort of the pair
     keys; each matrix sums its element values per entry from 0.0 in tet
     order.  A keeps only its entries that are not exactly 0.0 (on a Kuhn
-    cube a 7-point stencil): a stored 0.0 adds a signed zero to a row sum
-    that is never -0.0, so no product with a finite operand changes.
+    cube of any edge length a 7-point stencil): a stored 0.0 adds a signed
+    zero to a row sum that is never -0.0, so no product with a finite
+    operand changes.
     """
     n, tets, vols = mesh.n_vertices, mesh.tets, mesh.volumes
     indptr, indices, entry = coo_pattern(
@@ -72,7 +111,7 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     mass = CsrMatrix(indptr=indptr, indices=indices, n_rows=n, n_cols=n,
                      data=summed(vols[:, None, None]
                                  * ((np.ones((4, 4)) + np.eye(4)) / 20.0)))
-    a = summed(np.einsum("tic,tjc,t->tij", grads, grads, vols))
+    a = summed(_element_stiffness(grads, vols))
     keep = a != 0.0
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     stiffness = CsrMatrix(indptr=kept_before[indptr], indices=indices[keep],

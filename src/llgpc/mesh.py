@@ -10,6 +10,7 @@ most pi/2, so the assembled stiffness matrix has nonpositive off-diagonal
 entries (checked at runtime by fem.check_angle_condition, never assumed).
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -61,8 +62,12 @@ class Mesh:
         if not uses.all():
             raise GeometryError(
                 f"vertex {int(np.argmin(uses))} is used by no tet")
-        h_max = max(float(np.linalg.norm(x[:, i] - x[:, j], axis=1).max())
-                    for i, j in combinations(range(4), 2))
+        # sqrt is monotone and correctly rounded, so the root of the largest
+        # squared length is the largest np.linalg.norm of an edge, bitwise
+        h_max = math.sqrt(max(
+            float(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+                         + d[:, 2] * d[:, 2]))
+            for d in (x[:, i] - x[:, j] for i, j in combinations(range(4), 2))))
         for name, value in (("vertices", vertices), ("tets", tets),
                             ("volumes", volumes), ("h_max", h_max)):
             object.__setattr__(self, name, value)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from llgpc.errors import InvalidParameterError, ProjectionDegenerateError
-from llgpc.fem import (_p1_gradients, apply_Ph, build_assemblies,
-                       check_angle_condition, discrete_laplacian, grad_sq,
-                       inner_l2, nodal_cross, nodal_project_sphere, norms)
+from llgpc.fem import (TET_BLOCK, _element_stiffness, _p1_gradients,
+                       apply_Ph, build_assemblies, check_angle_condition,
+                       discrete_laplacian, grad_sq, inner_l2, nodal_cross,
+                       nodal_project_sphere, norms)
 from llgpc.linalg import spmv
 from llgpc.mesh import Mesh, build_cube_mesh
 
@@ -38,6 +39,51 @@ def perturbed_cube3():
     return Mesh(mesh.vertices + shift, mesh.tets)
 
 
+def inverse_gradients(mesh):
+    """Gradients as the columns of the inverted edge matrix: the oracle."""
+    x = mesh.vertices[mesh.tets]
+    inv = np.linalg.inv(x[:, 1:] - x[:, :1])
+    grads = np.empty((mesh.n_tets, 4, 3))
+    grads[:, 1:] = np.transpose(inv, (0, 2, 1))
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    return grads
+
+
+class TestGradients:
+    def test_cofactors_match_inverse_on_perturbed_cube(self):
+        mesh = perturbed_cube3()
+        grads = _p1_gradients(mesh)
+        assert grads.shape == (162, 4, 3)
+        assert (np.abs(grads - inverse_gradients(mesh)).max()
+                <= 1e-15 * np.abs(grads).max())
+
+    def test_dual_to_edges(self):
+        mesh = perturbed_cube3()
+        grads = _p1_gradients(mesh)
+        x = mesh.vertices[mesh.tets]
+        # grad_i . (x_j - x_0) = delta_ij for i, j in 1..3
+        duals = np.einsum("tic,tjc->tij", grads[:, 1:], x[:, 1:] - x[:, :1])
+        assert np.abs(duals - np.eye(3)).max() <= 1e-15
+
+    def test_unit_kuhn_bitwise_equal_to_inverse(self):
+        mesh = build_cube_mesh(8, 1.0)
+        assert np.array_equal(_p1_gradients(mesh), inverse_gradients(mesh))
+
+
+class TestElementStiffness:
+    def test_bitwise_equal_to_einsum_and_symmetric(self):
+        rng = np.random.Generator(np.random.Philox(41))
+        t = TET_BLOCK + 904  # a full block and a partial one
+        for _ in range(5):
+            grads = rng.normal(size=(t, 4, 3)) * 10.0 ** rng.uniform(
+                -3, 3, (t, 1, 1))
+            vols = 10.0 ** rng.uniform(-6, 0, t)
+            ke = _element_stiffness(grads, vols)
+            assert ke.tobytes() == np.einsum("tic,tjc,t->tij", grads, grads,
+                                             vols).tobytes()
+            assert np.array_equal(ke, ke.transpose(0, 2, 1))
+
+
 class TestAssembly:
     def test_stiffness_pattern_within_mass_pattern(self):
         for mesh in (build_cube_mesh(2, 1.0), perturbed_cube3()):
@@ -46,10 +92,17 @@ class TestAssembly:
             mass_keys = m.rows * m.n_cols + m.indices
             assert np.isin(a.rows * a.n_cols + a.indices, mass_keys).all()
 
-    def test_kuhn_stiffness_stores_no_zeros(self):
-        stiffness = build_assemblies(build_cube_mesh(8, 1.0)).stiffness
+    @pytest.mark.parametrize("n, edge, nnz", [
+        (8, 1.0, 4617), (8, 0.4, 4617), (8, 0.7, 4617), (8, 2.5, 4617),
+        (4, 0.4, 725),
+    ], ids=["n8_edge1.0", "n8_edge0.4", "n8_edge0.7", "n8_edge2.5",
+            "n4_edge0.4"])
+    def test_kuhn_stiffness_stores_no_zeros(self, n, edge, nnz):
+        # 7-point stencil at any edge; an inverted edge matrix left rounding
+        # residue for 6665, 7319, 6665 and 981 entries at the non-unit edges
+        stiffness = build_assemblies(build_cube_mesh(n, edge)).stiffness
         assert not np.any(stiffness.data == 0.0)
-        assert stiffness.nnz == 4617
+        assert stiffness.nnz == nnz
 
     @pytest.mark.parametrize("mesh", [build_cube_mesh(2, 1.0),
                                       perturbed_cube3()],
@@ -280,12 +333,13 @@ class TestAngleCondition:
         assert report.worst_offdiag == pytest.approx(-1.0 / 6.0)
 
     @pytest.mark.parametrize("mesh, worst", [
-        (build_cube_mesh(4, 0.4), 9.25e-19),
+        # criterion 8's mesh; an inverted edge matrix gave 9.25e-19
+        (build_cube_mesh(4, 0.4), 0.0),
         (perturbed_cube3(), 0.0475),
     ], ids=["kuhn_n4_edge0.4", "perturbed_n3"])
     def test_worst_offdiag_stored(self, mesh, worst):
         report = check_angle_condition(build_assemblies(mesh).stiffness)
-        assert report.worst_offdiag == pytest.approx(worst, rel=1e-3)
+        assert report.worst_offdiag == pytest.approx(worst, rel=1e-3, abs=0.0)
 
     def test_obtuse_sliver_pair_fails(self):
         # two flat tets over a shared triangle: apexes close to its plane

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,17 @@ class TestBuildCubeMesh:
     def test_h_max_is_cell_diagonal(self, n, edge):
         mesh = build_cube_mesh(n, edge)
         assert mesh.h_max == pytest.approx(np.sqrt(3.0) * edge / n, rel=1e-14)
+
+    def test_h_max_equals_longest_edge_norm(self):
+        cube = build_cube_mesh(4, 0.7)
+        rng = np.random.Generator(np.random.Philox(17))
+        mesh = Mesh(cube.vertices + rng.uniform(-0.01, 0.01, (125, 3)),
+                    cube.tets)
+        x = mesh.vertices[mesh.tets]
+        six_norms = max(float(np.linalg.norm(x[:, i] - x[:, j], axis=1).max())
+                        for i, j in combinations(range(4), 2))
+        assert mesh.h_max == six_norms
+        assert mesh.h_max != build_cube_mesh(4, 0.7).h_max
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_conforming_face_counts(self, n):
