@@ -55,6 +55,14 @@ class ProjectionDegenerateError(LlgpcError):
         )
 
 
+class NonFiniteStateError(LlgpcError):
+    """A time step produced a state that is not finite."""
+
+    def __init__(self, vertex: int):
+        self.vertex = vertex
+        super().__init__(f"the new state is not finite at vertex {vertex}")
+
+
 class NoConvergenceError(LlgpcError):
     """An iterative solver exhausted its iteration budget.
 

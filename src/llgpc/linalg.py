@@ -160,16 +160,14 @@ def _norm(x):
     return math.sqrt(float(np.dot(x, x)))
 
 
-def _arnoldi_residual(V, cs, sn, g_k, k):
+def _arnoldi_residual(V, rotations, g_k):
     """b - A x after a cycle of k Arnoldi steps with no breakdown, from the
     Arnoldi relation A V_k = V_{k+1} H: r = V_{k+1} Q^T (g_k e_{k+1}), with
-    Q the cycle's Givens rotations, applied last to first."""
-    u = np.zeros(k + 1)
-    u[k] = g_k
-    for i in range(k - 1, -1, -1):
-        u[i] = -sn[i] * u[i + 1]
-        u[i + 1] *= cs[i]
-    return u @ V[:k + 1]
+    Q the cycle's k Givens rotations, applied last to first."""
+    u = [g_k]  # Q^T (g_k e_{k+1}) from its last entry back
+    for c, s in reversed(rotations):
+        u[-1:] = c * u[-1], -s * u[-1]
+    return np.array(u[::-1]) @ V[:len(u)]
 
 
 def gmres(apply, b, rtol=1e-12):
@@ -179,7 +177,9 @@ def gmres(apply, b, rtol=1e-12):
     Each cycle runs at most RESTART Arnoldi steps with modified
     Gram-Schmidt: short cycles keep the per-step orthogonalisation cheap,
     and the predictors' iteration counts hardly depend on the length.  The
-    Krylov basis is allocated once per solve and reused by every cycle.
+    Krylov basis is allocated once per solve and reused by every cycle;
+    the small Hessenberg least-squares problem is worked on Python floats,
+    its triangle solved by back substitution.
     A cycle that ends short of tol restarts from the residual the Arnoldi
     relation gives, with no operator application; the true residual
     b - A x is applied only where a cycle's estimate meets tol, at a
@@ -189,7 +189,7 @@ def gmres(apply, b, rtol=1e-12):
     Returns a SolveResult with ||b - A x|| <= rtol * ||b||.  Raises
     NoConvergenceError, carrying the best true residual and the iteration
     count, once max(10 n, 100) iterations are spent, and at once if ||b||
-    or a residual is not finite.
+    or a residual is not finite, or the triangle is singular.
     """
     check_real(rtol, "rtol", positive=True)
     b = np.asarray(b, dtype=np.float64)
@@ -221,40 +221,30 @@ def gmres(apply, b, rtol=1e-12):
                 raise NoConvergenceError("GMRES did not converge",
                                          residual=best_res,
                                          iterations=total_iters)
-        m = min(RESTART, maxit - total_iters)
-        H = np.zeros((m + 1, m))  # zeroed: the solve reads below the diagonal
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
         np.divide(r, beta, out=V[0])
-        k_done = 0
-        for j in range(m):
+        R = []  # R[j]: column j of H, rotated; upper triangular
+        rotations = []
+        g = [beta]
+        for j in range(min(RESTART, maxit - total_iters)):
             # copy: apply may return (a view of) its input, e.g. identity
             w = np.array(apply(V[j]), dtype=np.float64)
+            h = []
             for i in range(j + 1):
-                H[i, j] = np.dot(w, V[i])
-                w -= H[i, j] * V[i]
+                h.append(float(np.dot(w, V[i])))
+                w -= h[i] * V[i]
             h_sub = _norm(w)
-            H[j + 1, j] = h_sub
             if h_sub > 0.0:
                 np.divide(w, h_sub, out=V[j + 1])
-            # apply accumulated Givens rotations to the new column
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            if denom == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
-            else:
-                cs[j] = H[j, j] / denom
-                sn[j] = H[j + 1, j] / denom
-            H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            k_done = j + 1
+            for i, (c, s) in enumerate(rotations):
+                hi, hn = h[i], h[i + 1]
+                h[i], h[i + 1] = c * hi + s * hn, -s * hi + c * hn
+            denom = math.hypot(h[j], h_sub)
+            c, s = (1.0, 0.0) if denom == 0.0 else (h[j] / denom, h_sub / denom)
+            h[j] = c * h[j] + s * h_sub
+            R.append(h)
+            rotations.append((c, s))
+            g.append(-s * g[j])
+            g[j] = c * g[j]
             total_iters += 1
             if not math.isfinite(g[j + 1]):
                 raise NoConvergenceError("GMRES residual is not finite",
@@ -262,11 +252,19 @@ def gmres(apply, b, rtol=1e-12):
                                          iterations=total_iters)
             if abs(g[j + 1]) <= tol or h_sub == 0.0:
                 break
-        # the Givens steps leave H upper triangular
-        y = np.linalg.solve(H[:k_done, :k_done], g[:k_done])
-        x = x + V[:k_done].T @ y
-        true_residual = (abs(g[k_done]) <= tol or h_sub == 0.0
+        k = len(R)
+        y = g[:k]
+        for j in range(k - 1, -1, -1):
+            if R[j][j] == 0.0:
+                raise NoConvergenceError("GMRES broke down on a singular "
+                                         "operator", residual=best_res,
+                                         iterations=total_iters)
+            y[j] /= R[j][j]
+            for i in range(j):
+                y[i] -= R[j][i] * y[j]
+        x = x + V[:k].T @ y
+        true_residual = (abs(g[k]) <= tol or h_sub == 0.0
                          or total_iters >= maxit)
         r = (b - apply(x) if true_residual
-             else _arnoldi_residual(V, cs, sn, g[k_done], k_done))
+             else _arnoldi_residual(V, rotations, g[k]))
         beta = _norm(r)

@@ -12,25 +12,28 @@ so this adds theta k P_h pi(v) to h, with H0 = ell_ex^2 Lap_h m +
 P_h pi(m) + f(t + theta k), and v is still one linear solve.  Dotting with
 m gives (1+a^2) m.v = 0 either way.  This 3N system is the one predictor
 solved here; its equivalent 2N system in nodal tangent coordinates serves
-the tests as an oracle.  Both cross products of its operator fold into
-one nodal 3x3 block per vertex, built once per solve, so an operator
-application is one stiffness SpMV and one block product.
+the tests as an oracle.  The map h -> m x h + a m x (m x h) is one
+nodal 3x3 block per vertex, built once per solve: it gives the right-hand
+side, and scaled in place the operator, so an operator application is
+one stiffness SpMV and one block product.
 pi(w) = c (w.e) e has rank one, so P_h pi(w) = c beta^{-1} M (w.e) e takes
 one scalar mass product, and the anisotropy energy is
 -c/2 (m.e)^T M (m.e).  The PC2 corrector decouples into independent 3x3
 solves per node because its unknown appears without a Laplacian; this is
 verified against a dense oracle in the tests.  A predictor whose solve
 fails raises NoConvergenceError, which carries the best residual and the
-iteration count, not an iterate.
+iteration count, not an iterate; a step whose new state is not finite
+raises NonFiniteStateError.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import fem
-from .errors import InvalidParameterError, check_real
+from .errors import InvalidParameterError, NonFiniteStateError, check_real
 from .fem import (Assemblies, apply_Ph, discrete_laplacian, grad_sq,
                   inner_l2, nodal_cross, nodal_project_sphere)
 from .linalg import gmres
@@ -71,6 +74,10 @@ class EffectiveField:
 
     def __post_init__(self):
         check_real(self.ell_ex, "exchange length", positive=True)
+        sq = float(self.ell_ex) * float(self.ell_ex)
+        if not (math.isfinite(sq) and sq > 0.0):
+            raise InvalidParameterError("exchange length must have a finite "
+                                        f"positive square, got {self.ell_ex!r}")
         if self.applied is not None and not callable(self.applied):
             object.__setattr__(self, "applied",
                                _field_vector(self.applied, "applied field"))
@@ -99,6 +106,9 @@ class IntegratorConfig:
             raise InvalidParameterError("theta must lie in [0, 1]")
         check_real(self.k, "time-step size", positive=True)
         check_real(self.alpha, "damping")
+        if not math.isfinite(float(self.alpha) * float(self.alpha)):
+            raise InvalidParameterError(
+                f"damping must have a finite square, got {self.alpha!r}")
         check_real(self.lin_tol, "lin_tol", positive=True)
 
 
@@ -153,12 +163,6 @@ def energy(asm: Assemblies, field_cfg: EffectiveField, m: np.ndarray,
     return float(e)
 
 
-def _cross_damped(m, h, alpha):
-    """m x h + alpha m x (m x h)."""
-    t = nodal_cross(m, h)
-    return t + alpha * nodal_cross(m, t)
-
-
 def damped_cross_block(m: np.ndarray, s: np.ndarray,
                        alpha: float) -> np.ndarray:
     """Nodal 3x3 blocks B(z) = s_z ([m]_x + alpha (m m^T - |m|^2 I))(z) of
@@ -192,10 +196,11 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
     """Solve the 3N predictor system with GMRES; returns (v, iterations).
     With implicit_pi the operator also carries theta k P_h pi(v).
 
-    The operator's term c_ex (m x h + a m x (m x h)), c_ex =
-    ell_ex^2 theta k, with h = Lap_h v (+ ell_ex^-2 P_h pi(v)) =
-    -beta^{-1} y, is B y for the per-solve nodal block
-    B = damped_cross_block(m, -c_ex / beta, a) and
+    One nodal block B1 = damped_cross_block(m, 1, a) maps h to
+    m x h + a m x (m x h).  It gives the right-hand side -B1 H0, and
+    scaled in place by -c_ex / beta, c_ex = ell_ex^2 theta k, the
+    operator block B: the operator's term c_ex (m x h + a m x (m x h)),
+    with h = Lap_h v (+ ell_ex^-2 P_h pi(v)) = -beta^{-1} y, is B y for
     y = A v (- ell_ex^-2 c M (v.e) e).  An application is thus one
     stiffness SpMV (plus one scalar mass SpMV under implicit_pi) and one
     nodal 3x3 product: v -> (1+a^2) v + B y.
@@ -211,8 +216,9 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
     h0 = exchange_field(asm, field_cfg, m)
     if h_lower is not None:
         h0 = h0 + h_lower
-    rhs = -_cross_damped(m, h0, a)
-    block = damped_cross_block(m, -c_ex / asm.beta, a)
+    block = damped_cross_block(m, 1.0, a)
+    rhs = -np.einsum("ijz,jz->iz", block, h0.T)
+    block *= -c_ex / asm.beta  # bitwise damped_cross_block(m, -c_ex / beta, a)
     if implicit_pi:
         axis = field_cfg.uniaxial.axis
         pi_scale = field_cfg.uniaxial.c / field_cfg.ell_ex ** 2
@@ -227,7 +233,7 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
         out += (1.0 + a * a) * v
         return out.reshape(-1)
 
-    res = gmres(apply, rhs.T.reshape(-1), rtol=cfg.lin_tol)
+    res = gmres(apply, rhs.reshape(-1), rtol=cfg.lin_tol)
     return np.ascontiguousarray(res.x.reshape(3, n).T), res.iterations
 
 
@@ -275,7 +281,10 @@ def corrector_pc2(m: np.ndarray, v: np.ndarray, cfg: IntegratorConfig,
 
 def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
          asm: Assemblies) -> SimState:
-    """Advance one time step with the configured scheme."""
+    """Advance one time step with the configured scheme.
+
+    Raises NonFiniteStateError, naming the first vertex, if the new state
+    is not finite (an overflow in the corrector, say)."""
     m = state.m_curr
     t = state.ell * cfg.k
     if cfg.scheme == "PC2_IMEX" and state.ell == 0:
@@ -302,6 +311,9 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
         m_next = m + cfg.k * v
     else:  # PC2, PC2_IMEX
         m_next = corrector_pc2(m, v, cfg, field_cfg, asm, t)
+    finite = np.isfinite(m_next).all(axis=1)
+    if not finite.all():  # else only the next step's GMRES rejects it
+        raise NonFiniteStateError(int(np.argmin(finite)))
 
     return SimState(ell=state.ell + 1, m_curr=m_next, m_prev=m, v_last=v,
                     predictor_iterations=iters)

@@ -82,9 +82,18 @@ def test_run_config_error_exit_code(capsys):
     ["run", "--mesh-n", "1", "--k", "1", "--T", "1e-12"],
     ["converge", "--mesh-n", "1", "--T", "1e-12", "--ks", "1", "--k-ref",
      "1"],
+    ["run", "--mesh-n", "1", "--T", "1e-2", "--alpha", "1e200"],
+    ["run", "--mesh-n", "1", "--T", "1e-2", "--ellex", "1e200"],
+    ["sweep", "--mesh-n", "1", "--thetas", "0.5", "--ks", "1e-3",
+     "--t-cap", "1e-2", "--ellex", "1e200"],
+    ["run", "--mesh-n", "2", "--T", "1e-2", "--k", "1e-2", "--scheme", "PC1",
+     "--ellex", "1e-170", "--pi-uniaxial", "1", "0", "0", "1",
+     "--init", "random"],
 ], ids=["run_T_inf", "converge_k_ref_0", "sweep_t_cap_inf", "seed_negative",
         "run_k_tiny", "sweep_k_tiny", "converge_k_ref_tiny", "run_zero_steps",
-        "converge_zero_steps"])
+        "converge_zero_steps", "run_alpha_square_overflows",
+        "run_ellex_square_overflows", "sweep_ellex_square_overflows",
+        "run_ellex_square_underflows"])
 def test_bad_run_input_exit_code(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -143,6 +152,18 @@ def test_sweep_rejects_flags_it_does_not_read(flag, capsys):
         main(["sweep", "--mesh-n", "1", "--thetas", "0.5", "--ks", "1e-3",
               "--t-cap", "1e-2"] + flag)
     assert exc.value.code == 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("f, t_end", [("1e308", "1e-2"), ("1e160", "3e-2")])
+def test_run_non_finite_state_fails_at_step_one(f, t_end, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    code = main(["run", "--mesh-n", "2", "--T", t_end, "--k", "1e-2",
+                 "--scheme", "PC2", "--f", f, "0", "0", "--out", str(out)])
+    assert code == 3
+    assert "step 1 " in capsys.readouterr().err
+    assert len(out.read_text().strip().split("\n")) == 1 + 1  # ell = 0 only
 
 
 def test_run_fail_on_unstable(tmp_path, capsys):

@@ -315,6 +315,13 @@ class TestGmres:
         assert len(calls) == 1
         assert exc.value.iterations == 1
 
+    def test_singular_operator_raises_typed_error(self):
+        # the zero operator breaks down at once, on a zero triangle
+        with pytest.raises(NoConvergenceError) as exc:
+            gmres(lambda x: 0.0 * x, np.ones(3))
+        assert exc.value.iterations == 1
+        assert exc.value.residual == np.linalg.norm(np.ones(3))
+
     def test_invalid_rtol(self):
         with pytest.raises(InvalidParameterError):
             gmres(lambda x: x, np.ones(2), rtol=0.0)

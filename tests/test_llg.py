@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from llgpc import llg
-from llgpc.errors import InvalidParameterError, NoConvergenceError
+from llgpc.errors import (InvalidParameterError, NoConvergenceError,
+                          NonFiniteStateError)
 from llgpc.fem import apply_Ph, discrete_laplacian, grad_sq, inner_l2
 from llgpc.llg import (EffectiveField, IntegratorConfig, SimState, Uniaxial,
                        corrector_pc2, corrector_project, damped_cross_block,
@@ -33,7 +34,8 @@ class TestConfigs:
                                     dict(alpha=np.nan), dict(alpha=np.inf),
                                     dict(lin_tol=np.nan), dict(lin_tol=-1.0),
                                     dict(lin_tol=0.0), dict(k="1e-3"),
-                                    dict(theta=np.array([0.5, 0.5]))])
+                                    dict(theta=np.array([0.5, 0.5])),
+                                    dict(alpha=1e200)])
     def test_bad_parameters(self, kw):
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(scheme="PC1", k=kw.pop("k", 1e-3), **kw)
@@ -41,12 +43,15 @@ class TestConfigs:
     @pytest.mark.parametrize("make", [
         lambda: EffectiveField(ell_ex=np.nan),
         lambda: EffectiveField(ell_ex=np.inf),
+        lambda: EffectiveField(ell_ex=1e200),
+        lambda: EffectiveField(ell_ex=1e-170),
         lambda: Uniaxial(np.nan, E3),
         lambda: Uniaxial(np.inf, E3),
         lambda: EffectiveField(ell_ex=np.array([1.0, 2.0])),
         lambda: Uniaxial(np.array([1.0, 2.0]), E3),
         lambda: Uniaxial("1", E3),
-    ], ids=["ell_ex_nan", "ell_ex_inf", "uniaxial_c_nan", "uniaxial_c_inf",
+    ], ids=["ell_ex_nan", "ell_ex_inf", "ell_ex_square_overflows",
+            "ell_ex_square_underflows", "uniaxial_c_nan", "uniaxial_c_inf",
             "ell_ex_array", "uniaxial_c_array", "uniaxial_c_string"])
     def test_bad_field_constants(self, make):
         with pytest.raises(InvalidParameterError):
@@ -444,6 +449,34 @@ class TestStep:
                  EffectiveField(), cube2_asm)
         # the whole budget would be 10 * 3N = 810 iterations
         assert exc.value.iterations <= 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_corrector_fails_at_once(self, cube2_asm):
+        # m is parallel to f, so v = 0, but |c|^2 overflows in the PC2
+        # corrector and eta = inf / inf
+        m = uniform_field(cube2_asm.n)
+        cfg = IntegratorConfig(scheme="PC2", k=1e-2)
+        with pytest.raises(NonFiniteStateError) as exc:
+            step(SimState(ell=0, m_curr=m), cfg,
+                 EffectiveField(applied=[1e308, 0.0, 0.0]), cube2_asm)
+        assert exc.value.vertex == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ["PC1", "PC1_IMEX", "PC1_PROJFREE"])
+    def test_non_finite_new_state_names_its_vertex(self, cube2_asm,
+                                                   monkeypatch, scheme):
+        def infinite_at_last_vertex(m, *args, **kwargs):
+            v = np.zeros_like(m)
+            v[-1] = np.inf
+            return v, 0
+
+        monkeypatch.setattr(llg, "predictor_full", infinite_at_last_vertex)
+        with pytest.raises(NonFiniteStateError) as exc:
+            step(SimState(ell=0, m_curr=uniform_field(cube2_asm.n)),
+                 IntegratorConfig(scheme=scheme, k=1e-3), EffectiveField(),
+                 cube2_asm)
+        assert exc.value.vertex == cube2_asm.n - 1
 
     def test_step_index_advances_and_rotates(self, cube2_asm):
         m = random_unit_field(cube2_asm.n, 83)
