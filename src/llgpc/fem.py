@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ProjectionDegenerateError
 from .linalg import CsrMatrix, coo_pattern, spmv
-from .mesh import Mesh
+from .mesh import Mesh, edge_cofactors
 
 UNIT_TOL = 1e-9
 PROJECTION_DELTA_MIN = 1e-12
@@ -21,37 +21,28 @@ TET_BLOCK = 4096  # a (4096, 4, 4) float64 block is 512 KiB
 
 
 def _p1_gradients(mesh: Mesh):
-    """Constant barycentric gradients per tet: a (T, 4, 3) view of (4, 3, T).
+    """Constant barycentric gradients per tet, as a (4, 3, T) array.
 
-    Cofactors on contiguous component rows, no inverse: with e_k = x_k - x_0,
-    grad_1 = e2 x e3 / det (and cyclically), det = e1.(e2 x e3) and grad_0 =
-    -grad_1 - grad_2 - grad_3.  A zero edge component and a*b - b*a give
-    exact zeros, so a Kuhn tet's stiffness zeros are exact at any edge.
+    Cofactor rows over det, no inverse (mesh.edge_cofactors, the determinant
+    the volumes come from); grad_0 = -grad_1 - grad_2 - grad_3.  A zero
+    edge component and a*b - b*a give exact zeros, so a Kuhn tet's
+    stiffness zeros are exact at any edge.
     """
-    x = mesh.vertices.T[:, mesh.tets.T]           # (3, 4, T)
-    e1, e2, e3 = (x[:, k] - x[:, 0] for k in (1, 2, 3))
+    cof, det = edge_cofactors(mesh.vertices.T[:, mesh.tets.T])
     grads = np.empty((4, 3, mesh.n_tets))
-    for g, (a, b) in zip(grads[1:], ((e2, e3), (e3, e1), (e1, e2))):
-        np.subtract(a[1] * b[2], a[2] * b[1], out=g[0])
-        np.subtract(a[2] * b[0], a[0] * b[2], out=g[1])
-        np.subtract(a[0] * b[1], a[1] * b[0], out=g[2])
-    det = e1[0] * grads[1, 0] + e1[1] * grads[1, 1] + e1[2] * grads[1, 2]
-    grads[1:] /= det
-    np.negative(grads[1], out=grads[0])
-    grads[0] -= grads[2]
-    grads[0] -= grads[3]
-    return grads.transpose(2, 0, 1)
+    np.divide(cof, det, out=grads[1:])
+    grads[0] = -grads[1] - grads[2] - grads[3]
+    return grads
 
 
-def _element_stiffness(grads, vols):
-    """(T, 4, 4) element stiffness V grad_i.grad_j from (T, 4, 3) gradients.
+def _element_stiffness(g, vols):
+    """(T, 4, 4) element stiffness V grad_i.grad_j from (4, 3, T) gradients g.
 
     ((g_i0 g_j0) V + (g_i1 g_j1) V) + (g_i2 g_j2) V once per pair i <= j:
-    the operations of np.einsum("tic,tjc,t->tij", grads, grads, vols), so
-    bitwise equal to it and exactly symmetric.  Blocks of TET_BLOCK tets
-    keep each pair's strided writes in cache.
+    the operations of np.einsum("tic,tjc,t->tij", G, G, vols) on the
+    (T, 4, 3) view G of g, so bitwise equal to it and exactly symmetric.
+    Blocks of TET_BLOCK tets keep each pair's strided writes in cache.
     """
-    g = grads.transpose(1, 2, 0)                   # (4, 3, T)
     ke = np.empty((vols.shape[0], 4, 4))
     for start in range(0, vols.shape[0], TET_BLOCK):
         block = slice(start, start + TET_BLOCK)

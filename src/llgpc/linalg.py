@@ -185,6 +185,8 @@ def gmres(apply, b, rtol=1e-12):
     b - A x is applied only where a cycle's estimate meets tol, at a
     breakdown and at the budget, and only it can accept x.  A solve thus
     makes one application per iteration plus one per true residual.
+    apply must return a new float64 array, which gmres overwrites and does
+    not keep: never its input or a view of it.
 
     Returns a SolveResult with ||b - A x|| <= rtol * ||b||.  Raises
     NoConvergenceError, carrying the best true residual and the iteration
@@ -226,8 +228,7 @@ def gmres(apply, b, rtol=1e-12):
         rotations = []
         g = [beta]
         for j in range(min(RESTART, maxit - total_iters)):
-            # copy: apply may return (a view of) its input, e.g. identity
-            w = np.array(apply(V[j]), dtype=np.float64)
+            w = apply(V[j])
             h = []
             for i in range(j + 1):
                 h.append(float(np.dot(w, V[i])))

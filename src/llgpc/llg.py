@@ -78,6 +78,11 @@ class EffectiveField:
         if not (math.isfinite(sq) and sq > 0.0):
             raise InvalidParameterError("exchange length must have a finite "
                                         f"positive square, got {self.ell_ex!r}")
+        if (self.uniaxial is not None
+                and not math.isfinite(self.uniaxial.c / self.ell_ex ** 2)):
+            raise InvalidParameterError(
+                "anisotropy constant over the squared exchange length must "
+                f"be finite, got {self.uniaxial.c!r} / {self.ell_ex!r}**2")
         if self.applied is not None and not callable(self.applied):
             object.__setattr__(self, "applied",
                                _field_vector(self.applied, "applied field"))
@@ -106,9 +111,10 @@ class IntegratorConfig:
             raise InvalidParameterError("theta must lie in [0, 1]")
         check_real(self.k, "time-step size", positive=True)
         check_real(self.alpha, "damping")
-        if not math.isfinite(float(self.alpha) * float(self.alpha)):
-            raise InvalidParameterError(
-                f"damping must have a finite square, got {self.alpha!r}")
+        a2 = 1.0 + float(self.alpha) * float(self.alpha)
+        if not math.isfinite(a2 * a2):  # corrector_pc2 forms a2 * a2
+            raise InvalidParameterError("damping must have a finite "
+                                        f"(1 + alpha^2)^2, got {self.alpha!r}")
         check_real(self.lin_tol, "lin_tol", positive=True)
 
 
@@ -163,13 +169,12 @@ def energy(asm: Assemblies, field_cfg: EffectiveField, m: np.ndarray,
     return float(e)
 
 
-def damped_cross_block(m: np.ndarray, s: np.ndarray,
-                       alpha: float) -> np.ndarray:
-    """Nodal 3x3 blocks B(z) = s_z ([m]_x + alpha (m m^T - |m|^2 I))(z) of
-    an (N, 3) field m, as a (3, 3, N) array.
+def damped_cross_block(m: np.ndarray, alpha: float) -> np.ndarray:
+    """Nodal 3x3 blocks B(z) = ([m]_x + alpha (m m^T - |m|^2 I))(z) of an
+    (N, 3) field m, as a (3, 3, N) array.
 
-    B(z) h(z) = s_z (m x h + alpha m x (m x h))(z) for every m, unit or
-    not, since m x (m x h) = (m.h) m - |m|^2 h."""
+    B(z) h(z) = (m x h + alpha m x (m x h))(z) for every m, unit or not,
+    since m x (m x h) = (m.h) m - |m|^2 h."""
     mt = np.ascontiguousarray(m.T)
     m0, m1, m2 = mt
     b = alpha * mt[:, None] * mt[None, :]
@@ -180,7 +185,6 @@ def damped_cross_block(m: np.ndarray, s: np.ndarray,
     b[1, 2] -= m0
     b[2, 0] -= m1
     b[2, 1] += m0
-    b *= s
     return b
 
 
@@ -196,7 +200,7 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
     """Solve the 3N predictor system with GMRES; returns (v, iterations).
     With implicit_pi the operator also carries theta k P_h pi(v).
 
-    One nodal block B1 = damped_cross_block(m, 1, a) maps h to
+    One nodal block B1 = damped_cross_block(m, a) maps h to
     m x h + a m x (m x h).  It gives the right-hand side -B1 H0, and
     scaled in place by -c_ex / beta, c_ex = ell_ex^2 theta k, the
     operator block B: the operator's term c_ex (m x h + a m x (m x h)),
@@ -216,9 +220,9 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
     h0 = exchange_field(asm, field_cfg, m)
     if h_lower is not None:
         h0 = h0 + h_lower
-    block = damped_cross_block(m, 1.0, a)
+    block = damped_cross_block(m, a)
     rhs = -np.einsum("ijz,jz->iz", block, h0.T)
-    block *= -c_ex / asm.beta  # bitwise damped_cross_block(m, -c_ex / beta, a)
+    block *= -c_ex / asm.beta  # B1 becomes the operator block B, in place
     if implicit_pi:
         axis = field_cfg.uniaxial.axis
         pi_scale = field_cfg.uniaxial.c / field_cfg.ell_ex ** 2

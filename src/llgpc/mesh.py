@@ -1,13 +1,13 @@
 """Structured tetrahedral meshes of boxes and a line-oriented text format.
 
 A Mesh computes and validates its geometry once, when it is constructed:
-one gather of the tet corners gives every signed volume (all must be
-positive) and the longest edge h_max.  Cube meshes use the Kuhn 6-tet
-subdivision of every grid cell with the same cell diagonal everywhere; the
-cell table is positively oriented by construction.  The resulting
-triangulation is conforming, quasi-uniform, and all dihedral angles are at
-most pi/2, so the assembled stiffness matrix has nonpositive off-diagonal
-entries (checked at runtime by fem.check_angle_condition, never assumed).
+one gather of the tet corners gives every signed volume, e1.(e2 x e3)/6
+from the cofactors the P1 gradients use (all must be positive), and the
+longest edge h_max.  Cube meshes use the Kuhn 6-tet subdivision of every
+grid cell with the same diagonal everywhere; the cell table is positively
+oriented by construction.  The triangulation is conforming, quasi-uniform
+and all its dihedral angles are at most pi/2, so the assembled stiffness
+has nonpositive off-diagonal entries (fem.check_angle_condition checks).
 """
 
 import math
@@ -20,6 +20,18 @@ from .errors import (GeometryError, InvalidParameterError, ParseError,
                      check_int, check_real)
 
 
+def edge_cofactors(x):
+    """Rows e2 x e3, e3 x e1, e1 x e2 (3, 3, T) and det = e1.(e2 x e3) of
+    (3, 4, T) tet corners x, e_k = x_k - x_0: det is six times the signed
+    volume and row k over det the gradient of corner k+1's hat function."""
+    e1, e2, e3 = (x[:, k] - x[:, 0] for k in (1, 2, 3))
+    cof = np.empty((3, 3, x.shape[2]))
+    for c, (a, b) in zip(cof, ((e2, e3), (e3, e1), (e1, e2))):
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.subtract(a[j] * b[k], a[k] * b[j], out=c[i])
+    return cof, e1[0] * cof[0, 0] + e1[1] * cof[0, 1] + e1[2] * cof[0, 2]
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Tetrahedral triangulation: vertex coordinates plus 4-index cells.
@@ -27,8 +39,8 @@ class Mesh:
     Construction rejects non-finite coordinates, wrong shapes and a vertex
     that no tet uses (GeometryError: its lumped mass would be 0),
     out-of-range indices (ParseError) and any tet whose signed volume
-    det(x1-x0, x2-x0, x3-x0)/6 is not positive (GeometryError).  `volumes`
-    and `h_max` come from that one check.
+    e1.(e2 x e3)/6, e_k = x_k - x_0, is not positive (GeometryError).
+    `volumes` and `h_max` come from that one check.
     """
 
     vertices: np.ndarray  # (N, 3) float64
@@ -50,8 +62,8 @@ class Mesh:
             raise GeometryError(f"vertex {bad} has a non-finite coordinate")
         if tets.min() < 0 or tets.max() >= n:
             raise ParseError(f"tet index out of range (mesh has {n} vertices)")
-        x = vertices[tets]
-        volumes = np.linalg.det(x[:, 1:] - x[:, :1]) / 6.0
+        x = vertices.T[:, tets.T]  # (3, 4, T) corners on component rows
+        volumes = edge_cofactors(x)[1] / 6.0
         if np.any(volumes <= 0.0):
             bad = int(np.argmax(volumes <= 0.0))
             raise GeometryError(
@@ -65,8 +77,7 @@ class Mesh:
         # sqrt is monotone and correctly rounded, so the root of the largest
         # squared length is the largest np.linalg.norm of an edge, bitwise
         h_max = math.sqrt(max(
-            float(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-                         + d[:, 2] * d[:, 2]))
+            float(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
             for d in (x[:, i] - x[:, j] for i, j in combinations(range(4), 2))))
         for name, value in (("vertices", vertices), ("tets", tets),
                             ("volumes", volumes), ("h_max", h_max)):

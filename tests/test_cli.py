@@ -89,14 +89,33 @@ def test_run_config_error_exit_code(capsys):
     ["run", "--mesh-n", "2", "--T", "1e-2", "--k", "1e-2", "--scheme", "PC1",
      "--ellex", "1e-170", "--pi-uniaxial", "1", "0", "0", "1",
      "--init", "random"],
+    ["run", "--mesh-n", "2", "--T", "1e-2", "--k", "1e-2", "--scheme", "PC1",
+     "--ellex", "1e-160", "--pi-uniaxial", "1", "0", "0", "1",
+     "--init", "random"],
+    ["run", "--mesh-n", "2", "--T", "1e-2", "--k", "1e-2", "--scheme", "PC1",
+     "--alpha", "1e154", "--init", "random"],
+    ["run", "--mesh-n", "2", "--T", "1e-2", "--k", "1e-2", "--scheme", "PC2",
+     "--alpha", "1e154", "--init", "random"],
+    ["run", "--mesh-n", "2", "--T", "1e-2", "--k", "1e-2", "--scheme", "PC2",
+     "--alpha", "1e100", "--init", "random"],
 ], ids=["run_T_inf", "converge_k_ref_0", "sweep_t_cap_inf", "seed_negative",
         "run_k_tiny", "sweep_k_tiny", "converge_k_ref_tiny", "run_zero_steps",
         "converge_zero_steps", "run_alpha_square_overflows",
         "run_ellex_square_overflows", "sweep_ellex_square_overflows",
-        "run_ellex_square_underflows"])
+        "run_ellex_square_underflows", "run_uniaxial_over_ellex_square_overflows",
+        "run_pc1_alpha_fourth_power_overflows",
+        "run_pc2_alpha_fourth_power_overflows",
+        "run_pc2_alpha_1e100_fourth_power_overflows"])
 def test_bad_run_input_exit_code(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("scheme", ["PC1", "PC2"])
+def test_largest_accepted_alpha_runs(scheme, capsys):
+    assert main(["run", "--mesh-n", "2", "--T", "1e-2", "--k", "1e-2",
+                 "--scheme", scheme, "--alpha", "1e77", "--init",
+                 "random"]) == 0
 
 
 @pytest.mark.parametrize("command", [["mesh"], ["run", "--T", "1e-2"]])

@@ -9,7 +9,7 @@ from llgpc.fem import (TET_BLOCK, _element_stiffness, _p1_gradients,
                        discrete_laplacian, grad_sq, inner_l2, nodal_cross,
                        nodal_project_sphere, norms)
 from llgpc.linalg import spmv
-from llgpc.mesh import Mesh, build_cube_mesh
+from llgpc.mesh import Mesh, build_cube_mesh, edge_cofactors
 
 from conftest import dense, inner_h, norm_h, oriented_mesh, random_unit_field
 
@@ -52,14 +52,14 @@ def inverse_gradients(mesh):
 class TestGradients:
     def test_cofactors_match_inverse_on_perturbed_cube(self):
         mesh = perturbed_cube3()
-        grads = _p1_gradients(mesh)
+        grads = _p1_gradients(mesh).transpose(2, 0, 1)
         assert grads.shape == (162, 4, 3)
         assert (np.abs(grads - inverse_gradients(mesh)).max()
                 <= 1e-15 * np.abs(grads).max())
 
     def test_dual_to_edges(self):
         mesh = perturbed_cube3()
-        grads = _p1_gradients(mesh)
+        grads = _p1_gradients(mesh).transpose(2, 0, 1)
         x = mesh.vertices[mesh.tets]
         # grad_i . (x_j - x_0) = delta_ij for i, j in 1..3
         duals = np.einsum("tic,tjc->tij", grads[:, 1:], x[:, 1:] - x[:, :1])
@@ -67,7 +67,14 @@ class TestGradients:
 
     def test_unit_kuhn_bitwise_equal_to_inverse(self):
         mesh = build_cube_mesh(8, 1.0)
-        assert np.array_equal(_p1_gradients(mesh), inverse_gradients(mesh))
+        assert np.array_equal(_p1_gradients(mesh).transpose(2, 0, 1),
+                              inverse_gradients(mesh))
+
+    def test_volumes_are_the_cofactor_determinant_over_six(self):
+        # one determinant per tet gives the volumes and the gradients
+        mesh = perturbed_cube3()
+        _, det = edge_cofactors(mesh.vertices.T[:, mesh.tets.T])
+        assert mesh.volumes.tobytes() == (det / 6.0).tobytes()
 
 
 class TestElementStiffness:
@@ -78,7 +85,7 @@ class TestElementStiffness:
             grads = rng.normal(size=(t, 4, 3)) * 10.0 ** rng.uniform(
                 -3, 3, (t, 1, 1))
             vols = 10.0 ** rng.uniform(-6, 0, t)
-            ke = _element_stiffness(grads, vols)
+            ke = _element_stiffness(grads.transpose(1, 2, 0), vols)
             assert ke.tobytes() == np.einsum("tic,tjc,t->tij", grads, grads,
                                              vols).tobytes()
             assert np.array_equal(ke, ke.transpose(0, 2, 1))
@@ -108,7 +115,7 @@ class TestAssembly:
                                       perturbed_cube3()],
                              ids=["kuhn_n2", "perturbed_n3"])
     def test_stiffness_equals_dense_accumulation_in_tet_order(self, mesh):
-        grads = _p1_gradients(mesh)
+        grads = _p1_gradients(mesh).transpose(2, 0, 1)
         ke = np.einsum("tic,tjc,t->tij", grads, grads, mesh.volumes)
         expected = np.zeros((mesh.n_vertices, mesh.n_vertices))
         for t, tet in enumerate(mesh.tets):

@@ -216,7 +216,7 @@ class TestCsrProperties:
 class TestGmres:
     def test_identity_one_iteration(self):
         b = np.array([1.0, 2.0, 3.0])
-        res = gmres(lambda x: x, b)
+        res = gmres(lambda x: x.copy(), b)
         assert res.x == pytest.approx(b)
         assert res.iterations <= 1
 
@@ -227,7 +227,7 @@ class TestGmres:
 
         def identity(x):
             calls.append(1)
-            return x
+            return x.copy()
 
         res = gmres(identity, np.array([1.0, 2.0, 3.0]))
         assert res.iterations == 1
@@ -280,7 +280,7 @@ class TestGmres:
 
         def identity(x):
             calls.append(1)
-            return x
+            return x.copy()
 
         with pytest.raises(NoConvergenceError) as exc:
             gmres(identity, np.array([1.0, np.nan, 3.0]))
@@ -324,7 +324,7 @@ class TestGmres:
 
     def test_invalid_rtol(self):
         with pytest.raises(InvalidParameterError):
-            gmres(lambda x: x, np.ones(2), rtol=0.0)
+            gmres(lambda x: x.copy(), np.ones(2), rtol=0.0)
 
     @pytest.mark.parametrize("kw", [dict(rtol=np.nan), dict(rtol=np.inf),
                                     dict(rtol=np.array([1e-8, 1e-8]))],

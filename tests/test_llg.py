@@ -35,7 +35,8 @@ class TestConfigs:
                                     dict(lin_tol=np.nan), dict(lin_tol=-1.0),
                                     dict(lin_tol=0.0), dict(k="1e-3"),
                                     dict(theta=np.array([0.5, 0.5])),
-                                    dict(alpha=1e200)])
+                                    dict(alpha=1e200), dict(alpha=1e100),
+                                    dict(alpha=1e154)])
     def test_bad_parameters(self, kw):
         with pytest.raises(InvalidParameterError):
             IntegratorConfig(scheme="PC1", k=kw.pop("k", 1e-3), **kw)
@@ -50,9 +51,11 @@ class TestConfigs:
         lambda: EffectiveField(ell_ex=np.array([1.0, 2.0])),
         lambda: Uniaxial(np.array([1.0, 2.0]), E3),
         lambda: Uniaxial("1", E3),
+        lambda: EffectiveField(ell_ex=1e-160, uniaxial=Uniaxial(1.0, E3)),
     ], ids=["ell_ex_nan", "ell_ex_inf", "ell_ex_square_overflows",
             "ell_ex_square_underflows", "uniaxial_c_nan", "uniaxial_c_inf",
-            "ell_ex_array", "uniaxial_c_array", "uniaxial_c_string"])
+            "ell_ex_array", "uniaxial_c_array", "uniaxial_c_string",
+            "uniaxial_c_over_ell_ex_square_overflows"])
     def test_bad_field_constants(self, make):
         with pytest.raises(InvalidParameterError):
             make()
@@ -176,13 +179,11 @@ class TestDampedCrossBlock:
         rng = np.random.Generator(np.random.Philox(61))
         m = rng.normal(size=(500, 3)) * rng.uniform(0.5, 2.0, size=(500, 1))
         h = rng.normal(size=(500, 3))
-        s = rng.uniform(-3.0, 3.0, size=500)
         mxh = np.cross(m, h)
-        ref = s[:, None] * (mxh + alpha * np.cross(m, mxh))
-        out = np.einsum("ijz,zj->zi", damped_cross_block(m, s, alpha), h)
+        ref = mxh + alpha * np.cross(m, mxh)
+        out = np.einsum("ijz,zj->zi", damped_cross_block(m, alpha), h)
         # a few ulps of the largest term of the sum
-        scale = (np.abs(s) * np.linalg.norm(m, axis=1)
-                 * np.linalg.norm(h, axis=1)
+        scale = (np.linalg.norm(m, axis=1) * np.linalg.norm(h, axis=1)
                  * (1.0 + alpha * np.linalg.norm(m, axis=1)))
         assert np.all(np.abs(out - ref) <= 8 * np.finfo(float).eps
                       * scale[:, None])
@@ -201,6 +202,28 @@ class TestPredictors:
         v, _ = predictor_full(m, cfg, EffectiveField(), cube2_asm)
         dots = np.abs(np.einsum("ij,ij->i", m, v)).max()
         assert dots <= 1e-9 * (1.0 + np.abs(v).max())
+
+    @pytest.mark.parametrize("implicit_pi", [False, True])
+    def test_operator_returns_new_arrays(self, cube2_asm, monkeypatch,
+                                         implicit_pi):
+        # gmres overwrites what apply returns and does not copy it
+        applies, gmres = [], llg.gmres
+
+        def capturing_gmres(apply, b, **kw):
+            applies.append(apply)
+            return gmres(apply, b, **kw)
+
+        monkeypatch.setattr(llg, "gmres", capturing_gmres)
+        m = random_unit_field(cube2_asm.n, 63)
+        field_cfg = EffectiveField(uniaxial=Uniaxial(0.5, E3))
+        predictor_full(m, IntegratorConfig(scheme="PC1", k=1e-2), field_cfg,
+                       cube2_asm, implicit_pi=implicit_pi)
+        x = random_unit_field(cube2_asm.n, 64).reshape(-1)
+        first, second = applies[0](x), applies[0](x)
+        assert first.dtype == np.float64
+        assert not np.shares_memory(first, x)
+        assert not np.shares_memory(second, x)
+        assert not np.shares_memory(first, second)
 
     def test_tangent_predictor_exact_tangency(self, cube2_asm):
         m = random_unit_field(cube2_asm.n, 62)
