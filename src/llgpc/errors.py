@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all llgpc modules, and the scalar checks
+"""Exception hierarchy shared by all llgpc modules, and the input checks
 that raise one of them."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class LlgpcError(Exception):
@@ -29,6 +31,14 @@ def check_int(x, what: str, low: int,
     """Raise `error` unless x is an integer (numpy integers too) >= low."""
     if not (isinstance(x, numbers.Integral) and x >= low):
         raise error(f"{what} must be an integer >= {low}, got {x!r}")
+
+
+def real_array(x, what: str) -> np.ndarray:
+    """x as a float64 array; InvalidParameterError if x is complex, whose
+    imaginary part the cast would drop with only a warning."""
+    if np.iscomplexobj(x):
+        raise InvalidParameterError(f"{what} must be real, not complex")
+    return np.asarray(x, dtype=np.float64)
 
 
 class ConfigError(LlgpcError, ValueError):

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ProjectionDegenerateError
+from .errors import (InvalidParameterError, ProjectionDegenerateError,
+                     real_array)
 from .linalg import CsrMatrix, coo_pattern, spmv
 from .mesh import Mesh, edge_cofactors
 
@@ -122,8 +123,8 @@ def _check_match(beta, *fields, scalar=False):
 
 
 def inner_l2(mass: CsrMatrix, u: np.ndarray, w: np.ndarray) -> float:
-    """Consistent L2 inner product of two P1 fields."""
-    return float(np.sum(spmv(mass, u) * w))
+    """Consistent L2 inner product of two real P1 fields."""
+    return float(np.sum(spmv(mass, u) * real_array(w, "w")))
 
 
 def discrete_laplacian(stiffness: CsrMatrix, beta: np.ndarray,

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError, LlgpcError,
-                     SolverFailure, check_int, check_real)
+                     SolverFailure, check_int, check_real, real_array)
 from .fem import UNIT_TOL, Assemblies, build_assemblies, grad_sq, norms
 from .llg import (EffectiveField, IntegratorConfig, SimState, energy, step)
 from .mesh import Mesh, build_cube_mesh
@@ -171,7 +171,7 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
     snap_steps = set(snapshot_steps)
     k = cfg.integrator.k
     t0 = time.perf_counter()
-    state = SimState(ell=0, m_curr=np.array(m0, dtype=np.float64))
+    state = SimState(ell=0, m_curr=real_array(m0, "m0").copy())
     if state.m_curr.shape != (asm.n, 3):
         raise InvalidParameterError(f"m0 must have shape ({asm.n}, 3), "
                                     f"got {state.m_curr.shape}")

@@ -10,9 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoConvergenceError, check_real
+from .errors import (InvalidParameterError, NoConvergenceError, check_real,
+                     real_array)
 
 RESTART = 10  # Arnoldi steps per GMRES cycle
+ROW_BLOCK = 4096  # a (3, 15, 4096) float64 gather is 1.4 MiB, in L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,7 +23,10 @@ class CsrMatrix:
 
     Column indices are strictly increasing within each row and lie in
     [0, n_cols); row offsets are monotone; both are enforced at
-    construction, which also builds the padded-row plan `spmv` runs on.
+    construction, which also builds the padded-row plan `spmv` runs on:
+    slot-major (n_blocks, W, B) column and value arrays that cut
+    R = max(n_rows, 2) rows into n_blocks = ceil(R / ROW_BLOCK) blocks of
+    B = ceil(R / n_blocks) >= 2 rows, the last one padded with empty rows.
     """
 
     indptr: np.ndarray
@@ -49,19 +54,24 @@ class CsrMatrix:
             raise InvalidParameterError(
                 f"bad column indices in row {rows[np.argmax(bad)]}")
         lengths = np.diff(self.indptr)
-        n_slots = max(self.n_rows, 2)
-        width = min(int(lengths.max(initial=0)), 2 * self.nnz // n_slots)
-        # overflow entries land in a spare slot row, cut off below
+        n_blocks = -(-max(self.n_rows, 2) // ROW_BLOCK)
+        size = -(-max(self.n_rows, 2) // n_blocks)  # rows per block, >= 2
+        width = min(int(lengths.max(initial=0)),
+                    2 * self.nnz // (n_blocks * size))
+        # flat index of (block, slot, row in block); overflow entries land
+        # in a spare slot row, cut off below
         slot = np.minimum(np.arange(self.nnz) - self.indptr[rows], width)
-        ell_cols = np.full((width + 1, n_slots), self.n_cols)
-        ell_vals = np.zeros((width + 1, n_slots))
-        ell_cols[slot, rows] = cols
-        ell_vals[slot, rows] = self.data
+        flat = (rows // size * width + slot) * size + rows
+        ell_cols = np.full((n_blocks, width + 1, size), self.n_cols)
+        ell_vals = np.zeros(ell_cols.shape)
+        ell_cols.reshape(-1)[flat] = cols
+        ell_vals.reshape(-1)[flat] = self.data
         over = np.flatnonzero(slot == width)
         long = np.flatnonzero(lengths > width)
         bins = np.concatenate([np.arange(long.size),
                                np.searchsorted(long, rows[over])])
-        object.__setattr__(self, "_ell", (ell_cols[:width], ell_vals[:width]))
+        object.__setattr__(self, "_ell", (ell_cols[:, :width],
+                                          ell_vals[:, :width]))
         object.__setattr__(self, "_overflow",
                            (long, bins, cols[over], self.data[over]))
 
@@ -108,23 +118,27 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     C-ordered one.
 
     The product runs on a hybrid ELL plan (Bell & Garland, SC 2009) built
-    with the matrix: slot j of row r in the slot-major (W, R) arrays holds
-    the row's j-th stored entry, so one gather, one multiply and one sum
-    over the slot axis add every row in stored order.
+    with the matrix: slot j of row r in its block's slot-major (W, B)
+    arrays holds the row's j-th stored entry.  Block by block, one gather
+    of x and one einsum pass multiply and add over the slot axis, so the
+    (3, W, B) gather stays in cache while it is read.
     - Padding has value 0.0 and reads column n_cols of a copy of x whose
       extra column is 0.0: a padded term is exactly +0.0, which leaves a
       sum unchanged even where x holds inf or NaN (0 * inf would be NaN).
       An entry the matrix does not store adds nothing either: the result
       is A x for the stored matrix, where a stored 0.0 would turn an inf
       of x into NaN.
-    - R = max(n_rows, 2): with one row the slot axis would become numpy's
-      fast axis, which it sums pairwise, not in order.
-    - W is at most 2 nnz / R, so one long row cannot make the block
-      quadratic in memory.  A longer row continues in one bincount per
+    - Every block holds B >= 2 rows: with one, the slot axis would
+      become einsum's fast axis, which it sums out of order.  With more,
+      einsum adds each slot's products to its row sums in slot order, by
+      an unfused multiply and add where numpy's SIMD baseline has no FMA
+      (X86_V2); the tests against a stored-order loop guard both.
+    - W is at most 2 nnz / (n_blocks B), so one long row cannot make the
+      plan quadratic in memory.  A longer row continues in one bincount per
       component, whose weights are the row's slot sum s followed by its
       remaining products: 0.0 + s = s, as s is never -0.0.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "x")
     if not (x.ndim == 1 or (x.ndim == 2 and x.shape[1] == 3)):
         raise InvalidParameterError("x must be a vector or an (n, 3) field")
     if x.shape[0] != a.n_cols:
@@ -132,12 +146,14 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
             f"dimension mismatch: matrix is {a.n_rows}x{a.n_cols}, "
             f"vector has length {x.shape[0]}"
         )
-    ell_cols, ell_vals = a._ell
     xs = np.zeros((1 if x.ndim == 1 else 3, a.n_cols + 1))
     xs[:, :-1] = x.T
-    p = xs.take(ell_cols, axis=1)
-    p *= ell_vals
-    y = np.add.reduce(p, axis=1, initial=0.0)
+    ell_cols, ell_vals = a._ell
+    n_blocks, _, size = ell_cols.shape
+    y = np.empty((xs.shape[0], n_blocks * size))
+    for b in range(n_blocks):
+        np.einsum("cwr,wr->cr", xs.take(ell_cols[b], axis=1), ell_vals[b],
+                  out=y[:, b * size:(b + 1) * size])
     long, bins, cols, vals = a._overflow
     if long.size:
         q = xs.take(cols, axis=1) * vals

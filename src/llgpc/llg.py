@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from . import fem
-from .errors import InvalidParameterError, NonFiniteStateError, check_real
+from .errors import (InvalidParameterError, NonFiniteStateError, check_real,
+                     real_array)
 from .fem import (Assemblies, apply_Ph, discrete_laplacian, grad_sq,
                   inner_l2, nodal_cross, nodal_project_sphere)
 from .linalg import gmres
@@ -57,7 +58,7 @@ class Uniaxial:
 
 
 def _field_vector(f, what: str) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
+    f = real_array(f, what)
     if f.shape != (3,) or not np.all(np.isfinite(f)):
         raise InvalidParameterError(
             f"{what} must be a finite 3-vector, got {f.tolist()}")

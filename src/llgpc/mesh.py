@@ -2,12 +2,13 @@
 
 A Mesh computes and validates its geometry once, when it is constructed:
 one gather of the tet corners gives every signed volume, e1.(e2 x e3)/6
-from the cofactors the P1 gradients use (all must be positive), and the
-longest edge h_max.  Cube meshes use the Kuhn 6-tet subdivision of every
-grid cell with the same diagonal everywhere; the cell table is positively
-oriented by construction.  The triangulation is conforming, quasi-uniform
-and all its dihedral angles are at most pi/2, so the assembled stiffness
-has nonpositive off-diagonal entries (fem.check_angle_condition checks).
+from the one cofactor row of the P1 gradients it needs (all must be
+positive), and the longest edge h_max.  Cube meshes use the Kuhn 6-tet
+subdivision of every grid cell with the same diagonal everywhere; the
+cell table is positively oriented by construction.  The triangulation is
+conforming, quasi-uniform and all its dihedral angles are at most pi/2,
+so the assembled stiffness has nonpositive off-diagonal entries
+(fem.check_angle_condition checks).
 """
 
 import math
@@ -20,16 +21,23 @@ from .errors import (GeometryError, InvalidParameterError, ParseError,
                      check_int, check_real)
 
 
+def _edge_det(x, cof):
+    """det = e1.(e2 x e3) of (3, 4, T) tet corners x, e_k = x_k - x_0, six
+    times the signed volume; the cofactor rows e2 x e3, e3 x e1, e1 x e2
+    fill as many rows as the (r, 3, T) array cof has, r = 1 to 3."""
+    e1, e2, e3 = (x[:, k] - x[:, 0] for k in (1, 2, 3))
+    for c, (a, b) in zip(cof, ((e2, e3), (e3, e1), (e1, e2))):
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.subtract(a[j] * b[k], a[k] * b[j], out=c[i])
+    return e1[0] * cof[0, 0] + e1[1] * cof[0, 1] + e1[2] * cof[0, 2]
+
+
 def edge_cofactors(x):
     """Rows e2 x e3, e3 x e1, e1 x e2 (3, 3, T) and det = e1.(e2 x e3) of
     (3, 4, T) tet corners x, e_k = x_k - x_0: det is six times the signed
     volume and row k over det the gradient of corner k+1's hat function."""
-    e1, e2, e3 = (x[:, k] - x[:, 0] for k in (1, 2, 3))
     cof = np.empty((3, 3, x.shape[2]))
-    for c, (a, b) in zip(cof, ((e2, e3), (e3, e1), (e1, e2))):
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            np.subtract(a[j] * b[k], a[k] * b[j], out=c[i])
-    return cof, e1[0] * cof[0, 0] + e1[1] * cof[0, 1] + e1[2] * cof[0, 2]
+    return cof, _edge_det(x, cof)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +71,7 @@ class Mesh:
         if tets.min() < 0 or tets.max() >= n:
             raise ParseError(f"tet index out of range (mesh has {n} vertices)")
         x = vertices.T[:, tets.T]  # (3, 4, T) corners on component rows
-        volumes = edge_cofactors(x)[1] / 6.0
+        volumes = _edge_det(x, np.empty((1, 3, len(tets)))) / 6.0
         if np.any(volumes <= 0.0):
             bad = int(np.argmax(volumes <= 0.0))
             raise GeometryError(

@@ -404,6 +404,23 @@ class TestNorms:
         assert grad_sq(reference_tet_asm.stiffness, w) == pytest.approx(0.5)
 
 
+class TestComplexFieldsRejected:
+    @pytest.mark.parametrize("op", [
+        lambda a, w: apply_Ph(a.mass, a.beta, w),
+        lambda a, w: apply_Ph(a.mass, a.beta, w[:, 0]),
+        lambda a, w: discrete_laplacian(a.stiffness, a.beta, w),
+        lambda a, w: grad_sq(a.stiffness, w),
+        lambda a, w: inner_l2(a.mass, w, w.real),
+        lambda a, w: inner_l2(a.mass, w.real, w),
+        lambda a, w: norms(a.mass, a.stiffness, w),
+    ], ids=["apply_Ph", "apply_Ph_scalar", "discrete_laplacian", "grad_sq",
+            "inner_l2_left", "inner_l2_right", "norms"])
+    def test_operator_rejects_complex_field(self, cube2_asm, op):
+        w = np.ones((cube2_asm.n, 3)) + 1e-3j
+        with pytest.raises(InvalidParameterError, match="complex"):
+            op(cube2_asm, w)
+
+
 class TestProjectionEnergyDecrease:
     def test_exchange_energy_never_increases(self, cube2_asm):
         assert check_angle_condition(cube2_asm.stiffness).passed

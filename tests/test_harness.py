@@ -122,6 +122,16 @@ class TestRunSimulation:
         if bad != "scaled":
             assert "m0(11)" in str(exc.value)
 
+    def test_complex_m0_rejected(self, monkeypatch):
+        # its real part is a unit field: cast to float64, it would run
+        asm = make_cube_assemblies(1)
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
+                        field=EffectiveField(), t_end=3e-3)
+        monkeypatch.setattr(harness, "step", None)  # no step may run
+        m0 = init_state(asm.mesh, "random", seed=4) + 1e-3j
+        with pytest.raises(InvalidParameterError, match="m0 must be real"):
+            run_simulation(asm, cfg, m0)
+
     @pytest.mark.parametrize("shape", [(24,), (3, 3), (8, 2)])
     def test_m0_of_wrong_shape_rejected(self, shape, monkeypatch):
         asm = make_cube_assemblies(1)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from llgpc.errors import InvalidParameterError, NoConvergenceError
-from llgpc.linalg import RESTART, CsrMatrix, gmres, spmv
+from llgpc.linalg import RESTART, ROW_BLOCK, CsrMatrix, gmres, spmv
 
 from conftest import csr_from_coo, dense
 
@@ -146,6 +146,12 @@ class TestSpmv:
         with pytest.raises(InvalidParameterError):
             spmv(dense_to_csr(np.eye(3)), 3.0)
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 3)], ids=["vector", "field"])
+    def test_complex_operand_rejected(self, shape):
+        # a cast to float64 would drop the imaginary part with a warning
+        with pytest.raises(InvalidParameterError, match="complex"):
+            spmv(dense_to_csr(np.eye(3)), np.ones(shape) + 1j)
+
     @pytest.mark.parametrize("matrix", ["stiffness", "mass", "empty_row",
                                         "one_row", "long_row"])
     def test_bitwise_equal_to_stored_order_loop(self, cube2_asm, matrix):
@@ -156,8 +162,36 @@ class TestSpmv:
                                     for c in range(3)])
         assert spmv(a, x).tobytes() == expected.tobytes()
         assert spmv(a, x[:, 1]).tobytes() == expected[:, 1].tobytes()
-        # the padded block never holds more than twice the stored entries
+        # the padded blocks never hold more than twice the stored entries
         assert a._ell[0].size <= 2 * a.nnz
+
+    @pytest.mark.parametrize("n_rows", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_row_blocks_bitwise_equal_to_stored_order_loop(self, n_rows):
+        # 8-16 entries a row, so that a sum out of stored order shows; row
+        # 5 is empty and the last but one, 200 long, overflows the padded
+        # slots.  Cut into contiguous blocks of ROW_BLOCK rows, the last
+        # block would hold the last row alone, and einsum would sum its
+        # slots out of order.
+        rng = np.random.Generator(np.random.Philox(9))
+        lengths = rng.integers(8, 17, size=n_rows)
+        lengths[5], lengths[-2], lengths[-1] = 0, 200, 16
+        indices = np.concatenate([np.sort(rng.choice(300, size=n,
+                                                     replace=False))
+                                  for n in lengths])
+        a = CsrMatrix(indptr=np.concatenate(([0], np.cumsum(lengths))),
+                      indices=indices,
+                      data=rng.normal(size=indices.size)
+                      * 10.0 ** rng.uniform(-4, 4, indices.size),
+                      n_rows=n_rows, n_cols=300)
+        assert a._overflow[0].tolist() == [n_rows - 2]
+        x = rng.normal(size=(300, 4))  # the last column for the 1-D path
+        expected = np.column_stack([stored_order_loop(a, x[:, c])
+                                    for c in range(4)])
+        assert spmv(a, x[:, :3]).tobytes() == expected[:, :3].tobytes()
+        yf = spmv(a, np.asfortranarray(x[:, :3]))
+        assert (yf.flags.f_contiguous
+                and yf.tobytes() == expected[:, :3].tobytes())
+        assert spmv(a, x[:, 3]).tobytes() == expected[:, 3].tobytes()
 
     @pytest.mark.parametrize("matrix", ["stiffness", "one_row", "long_row"])
     def test_fortran_field_gives_equal_fortran_result(self, cube2_asm,

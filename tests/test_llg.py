@@ -84,6 +84,15 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             EffectiveField(applied=np.array(applied))
 
+    @pytest.mark.parametrize("make", [
+        lambda v: Uniaxial(1.0, v),
+        lambda v: EffectiveField(applied=v),
+        lambda v: EffectiveField(applied=lambda t: v).f_at(0.0),
+    ], ids=["anisotropy_axis", "applied", "applied_callable"])
+    def test_complex_vector_rejected(self, make):
+        with pytest.raises(InvalidParameterError, match="must be real"):
+            make(E3 + 1e-3j)
+
     @pytest.mark.parametrize("value", [[np.nan, 0.0, 0.0], [1.0, 0.0]],
                              ids=["nan", "shape2"])
     def test_bad_callable_applied_field(self, value):
