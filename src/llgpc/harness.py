@@ -8,8 +8,8 @@ per (scheme, k) pair; the stability sweep one row per (theta, k) cell.
 import csv
 import io
 import time
-from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class RunResult:
     trace: List[TraceRow]
     status: str  # "completed" | "relaxed" | "unstable" | "failed"
     error: Optional[LlgpcError] = None
-    snapshots: dict = field(default_factory=dict)  # step index -> field
 
 
 def _mean_m(asm: Assemblies, m: np.ndarray) -> np.ndarray:
@@ -157,18 +156,16 @@ def _row(asm, cfg: RunConfig, state: SimState, t0: float,
 
 
 def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
-                   snapshot_steps: Sequence[int] = ()) -> RunResult:
+                   observe: Optional[Callable] = None) -> RunResult:
     """Step from m0 to t_end, recording a trace every `stride` steps.
 
     Relax mode stops once ||grad m||^2 <= 1e-8.  With stability monitoring
     on, any increase of ||grad m||^2 aborts the run with status 'unstable'.
     Solver failures terminate the run with the partial trace intact.  An
-    m0 that is not a finite unit field is rejected before any step.  The
-    state after each snapshot step j (an integer >= 0) is kept under j.
+    m0 that is not a finite unit field is rejected before any step.
+    `observe(state)`, if given, sees the step-0 state and the state after
+    every step that succeeds, in step order; a failed step is not observed.
     """
-    for j in snapshot_steps:
-        check_int(j, "snapshot step", 0, error=ConfigError)
-    snap_steps = set(snapshot_steps)
     k = cfg.integrator.k
     t0 = time.perf_counter()
     state = SimState(ell=0, m_curr=real_array(m0, "m0").copy())
@@ -182,13 +179,11 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
             f"m0 must be a unit field: |m0({z})| = {float(mods[z])!r}")
     gsq_prev = grad_sq(asm.stiffness, state.m_curr)
     trace = [_row(asm, cfg, state, t0, gsq_prev)]
-    snapshots = {}
-    if 0 in snap_steps:
-        snapshots[0] = state.m_curr.copy()
+    if observe is not None:
+        observe(state)
 
     if cfg.relax and gsq_prev <= RELAX_GRAD_SQ_TOL:
-        return RunResult(state=state, trace=trace, status="relaxed",
-                         snapshots=snapshots)
+        return RunResult(state=state, trace=trace, status="relaxed")
 
     for _ in range(cfg.n_steps):
         try:
@@ -197,9 +192,9 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
             err = SolverFailure(cfg.integrator.scheme, state.ell + 1, k,
                                 state.time(k), exc)
             return RunResult(state=state, trace=trace, status="failed",
-                             error=err, snapshots=snapshots)
-        if state.ell in snap_steps:
-            snapshots[state.ell] = state.m_curr.copy()
+                             error=err)
+        if observe is not None:
+            observe(state)
         record = state.ell % cfg.stride == 0 or state.ell == cfg.n_steps
         if record or cfg.relax or cfg.monitor_stability:
             gsq = grad_sq(asm.stiffness, state.m_curr)
@@ -209,11 +204,9 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
             if record or status:
                 trace.append(_row(asm, cfg, state, t0, gsq))
             if status:
-                return RunResult(state=state, trace=trace, status=status,
-                                 snapshots=snapshots)
+                return RunResult(state=state, trace=trace, status=status)
             gsq_prev = gsq
-    return RunResult(state=state, trace=trace, status="completed",
-                     snapshots=snapshots)
+    return RunResult(state=state, trace=trace, status="completed")
 
 
 def trace_to_csv(trace: Sequence[TraceRow]) -> str:
@@ -251,14 +244,17 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     The reference uses the midpoint corrector scheme at step size k_ref;
     every study step size must be an integer multiple of k_ref so that
     errors can be compared at shared time nodes.  The error for each k is
-    the maximum H1-norm difference over all its time nodes.  Every run's
-    config is built, and so checked, before the first run starts.  A run
-    that fails raises its SolverFailure.
+    the maximum H1-norm difference over all its time nodes, taken as the
+    run steps, so the study holds only the reference's node states.  Every
+    run's config is built, and so checked, before the first run starts.  A
+    run that fails raises its SolverFailure.
     """
     check_real(k_ref, "k_ref", positive=True, error=ConfigError)
     check_real(t_end, "t_end", positive=True, error=ConfigError)
     check_real(t_end / k_ref, "step count t_end / k_ref", error=ConfigError)
     ks = sorted(set(float(k) for k in ks), reverse=True)
+    if not ks or not len(schemes):
+        raise ConfigError("a convergence study needs a scheme and a k")
     ratios = []
     for k in ks:
         check_real(k, "k", positive=True, error=ConfigError)
@@ -279,10 +275,15 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     ref_cfg = config("PC2", k_ref)
     grid = [[(config(scheme, k), ratio) for k, ratio in zip(ks, ratios)]
             for scheme in schemes]
-    # reference steps: the union of every study run's time nodes
-    ref_steps = {j * ratio for row in grid for cfg, ratio in row
-                 for j in range(cfg.n_steps + 1)}
-    ref = run_simulation(asm, ref_cfg, m0, snapshot_steps=ref_steps)
+    # reference states at the union of every study run's time nodes
+    ref_states = dict.fromkeys(j * ratio for row in grid for cfg, ratio in row
+                               for j in range(cfg.n_steps + 1))
+
+    def keep(state):
+        if state.ell in ref_states:
+            ref_states[state.ell] = state.m_curr  # step makes new arrays
+
+    ref = run_simulation(asm, ref_cfg, m0, keep)
     if ref.status == "failed":
         raise ref.error
 
@@ -291,15 +292,13 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
         t_start = time.perf_counter()
         errors = []
         for cfg, ratio in row:
-            steps = range(cfg.n_steps + 1)
-            res = run_simulation(asm, cfg, m0, snapshot_steps=steps)
+            h1 = []  # one H1 error per time node, in step order
+            res = run_simulation(asm, cfg, m0, lambda state: h1.append(norms(
+                asm.mass, asm.stiffness,
+                state.m_curr - ref_states[state.ell * ratio]).h1))
             if res.status == "failed":
                 raise res.error
-            err = 0.0
-            for j in steps:
-                diff = res.snapshots[j] - ref.snapshots[j * ratio]
-                err = max(err, norms(asm.mass, asm.stiffness, diff).h1)
-            errors.append(err)
+            errors.append(max(h1))
         results.append(ConvergenceResult(
             scheme=scheme, ks=list(ks), errors=errors,
             slope=estimated_order(ks, errors),

@@ -23,10 +23,11 @@ class CsrMatrix:
 
     Column indices are strictly increasing within each row and lie in
     [0, n_cols); row offsets are monotone; both are enforced at
-    construction, which also builds the padded-row plan `spmv` runs on:
-    slot-major (n_blocks, W, B) column and value arrays that cut
-    R = max(n_rows, 2) rows into n_blocks = ceil(R / ROW_BLOCK) blocks of
-    B = ceil(R / n_blocks) >= 2 rows, the last one padded with empty rows.
+    construction, as are integer index arrays and real data.  Construction
+    also builds the padded-row plan `spmv` runs on: slot-major
+    (n_blocks, W, B) column and value arrays that cut R = max(n_rows, 2)
+    rows into n_blocks = ceil(R / ROW_BLOCK) blocks of B = ceil(R / n_blocks)
+    >= 2 rows, the last one padded with empty rows.
     """
 
     indptr: np.ndarray
@@ -38,6 +39,10 @@ class CsrMatrix:
     _overflow: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("indptr", "indices"):  # a cast would truncate
+            if not np.issubdtype(getattr(self, name).dtype, np.integer):
+                raise InvalidParameterError(f"{name} must be integers")
+        object.__setattr__(self, "data", real_array(self.data, "data"))
         if self.indptr.shape[0] != self.n_rows + 1:
             raise InvalidParameterError("indptr length must be n_rows + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.data.shape[0]:

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import (GeometryError, InvalidParameterError, ParseError,
-                     check_int, check_real)
+                     check_int, check_real, real_array)
 
 
 def _edge_det(x, cof):
@@ -44,8 +44,9 @@ def edge_cofactors(x):
 class Mesh:
     """Tetrahedral triangulation: vertex coordinates plus 4-index cells.
 
-    Construction rejects non-finite coordinates, wrong shapes and a vertex
-    that no tet uses (GeometryError: its lumped mass would be 0),
+    Construction rejects complex coordinates (InvalidParameterError),
+    non-finite coordinates, wrong shapes and a vertex that no tet uses
+    (GeometryError: its lumped mass would be 0), non-integer or
     out-of-range indices (ParseError) and any tet whose signed volume
     e1.(e2 x e3)/6, e_k = x_k - x_0, is not positive (GeometryError).
     `volumes` and `h_max` come from that one check.
@@ -57,12 +58,15 @@ class Mesh:
     h_max: float = field(init=False)         # longest tet edge
 
     def __post_init__(self):
-        vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        tets = np.ascontiguousarray(self.tets, dtype=np.int64)
+        vertices = np.ascontiguousarray(real_array(self.vertices, "vertices"))
+        tets = np.asarray(self.tets)
         if (vertices.shape[1:] != (3,) or tets.shape[1:] != (4,)
                 or not len(tets)):
             raise GeometryError(f"need (N, 3) vertices and (T >= 1, 4) tets, "
                                 f"got {vertices.shape} and {tets.shape}")
+        if not np.issubdtype(tets.dtype, np.integer):  # a cast would truncate
+            raise ParseError(f"tet indices must be integers, not {tets.dtype}")
+        tets = np.ascontiguousarray(tets, dtype=np.int64)
         n = vertices.shape[0]
         finite = np.isfinite(vertices).all(axis=1)
         if not finite.all():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -162,17 +163,43 @@ class TestRunSimulation:
         last = res.trace[-1]
         assert last.energy == llg.energy(asm, fld, res.state.m_curr, last.t)
 
-    def test_snapshots_keyed_by_step_index(self):
+    def test_observe_sees_every_step_once_in_order(self):
         asm = make_cube_assemblies(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_IMEX", k=0.1),
-                        field=EffectiveField(), t_end=0.5)
+                        field=EffectiveField(), t_end=0.5, stride=5)
         m0 = init_state(asm.mesh, "random", seed=3)
-        res = run_simulation(asm, cfg, m0, snapshot_steps=[0, 3, np.int64(3)])
+        seen = []
+        res = run_simulation(asm, cfg, m0,
+                             lambda s: seen.append((s.ell, s.m_curr.copy())))
         at_3 = run_simulation(asm, replace(cfg, t_end=0.3), m0).state.m_curr
         assert res.status == "completed"
-        assert sorted(res.snapshots) == [0, 3]
-        assert np.array_equal(res.snapshots[0], m0)
-        assert np.array_equal(res.snapshots[3], at_3)
+        assert [ell for ell, _ in seen] == [0, 1, 2, 3, 4, 5]
+        assert np.array_equal(seen[0][1], m0)
+        assert np.array_equal(seen[3][1], at_3)
+        assert np.array_equal(seen[5][1], res.state.m_curr)
+
+    def test_observe_skips_failed_step_and_sees_step_0_relax(
+            self, monkeypatch):
+        asm = make_cube_assemblies(1)
+        seen = []
+        cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
+                        field=EffectiveField(), t_end=1e-2, relax=True)
+        res = run_simulation(asm, cfg, init_state(asm.mesh, "uniform"),
+                             lambda s: seen.append(s.ell))
+        assert (res.status, seen) == ("relaxed", [0])
+        real_step = harness.step
+
+        def failing_step(state, *args):
+            if state.ell == 2:
+                raise NoConvergenceError("GMRES did not converge")
+            return real_step(state, *args)
+
+        monkeypatch.setattr(harness, "step", failing_step)
+        seen.clear()
+        res = run_simulation(asm, replace(cfg, relax=False),
+                             init_state(asm.mesh, "random", seed=3),
+                             lambda s: seen.append(s.ell))
+        assert (res.status, res.error.step, seen) == ("failed", 3, [0, 1, 2])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowed_projection_free_run_fails(self):
@@ -236,12 +263,6 @@ class TestRunSimulation:
                                               [1e-3], 1e-3, np.inf, m0),
         lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
                                               [np.inf], 1e-3, 1e-2, m0),
-        lambda asm, m0: run_simulation(asm, run_config(), m0,
-                                       snapshot_steps=[1, np.nan]),
-        lambda asm, m0: run_simulation(asm, run_config(), m0,
-                                       snapshot_steps=[1, 2.0]),
-        lambda asm, m0: run_simulation(asm, run_config(), m0,
-                                       snapshot_steps=[1, -1]),
         # t_end / k, t_cap / k, t_end / k_ref and k / k_ref overflow to inf
         lambda asm, m0: RunConfig(
             integrator=IntegratorConfig(scheme="PC2", k=1e-320),
@@ -254,8 +275,7 @@ class TestRunSimulation:
                                               [1e10], 1e-300, 1.0, m0),
     ], ids=["t_end_inf", "t_end_nan", "t_end_zero_steps", "stride_float",
             "stride_str", "t_cap_inf", "sweep_k_0", "k_ref_0", "k_ref_nan",
-            "study_t_end_inf", "study_k_inf", "snapshot_nan", "snapshot_float",
-            "snapshot_negative", "run_k_tiny", "sweep_k_tiny",
+            "study_t_end_inf", "study_k_inf", "run_k_tiny", "sweep_k_tiny",
             "study_k_ref_tiny", "study_k_over_k_ref_inf"])
     def test_bad_run_length_rejected(self, start):
         asm = make_cube_assemblies(1)
@@ -275,8 +295,16 @@ class TestRunSimulation:
         (lambda asm, m0: run_stability_sweep(
             asm, EffectiveField(), "PC2", [0.5], [1e-3, 0.0], m0, t_cap=1e-2),
          "k must be a finite positive"),
+        # an empty grid ran the whole reference, then returned no error
+        (lambda asm, m0: run_convergence_study(
+            asm, EffectiveField(), [], [2e-3], 1e-3, 1e-2, m0),
+         "needs a scheme and a k"),
+        (lambda asm, m0: run_convergence_study(
+            asm, EffectiveField(), ["PC2"], [], 1e-3, 1e-2, m0),
+         "needs a scheme and a k"),
     ], ids=["study_unknown_second_scheme", "study_t_end_not_multiple_of_k",
-            "sweep_second_theta_above_1", "sweep_second_k_0"])
+            "sweep_second_theta_above_1", "sweep_second_k_0",
+            "study_no_scheme", "study_no_k"])
     def test_study_and_sweep_check_every_run_before_the_first(
             self, start, match, monkeypatch):
         asm = make_cube_assemblies(1)
@@ -380,6 +408,59 @@ class TestConvergence:
                                         [8e-3, 4e-3, 2e-3, 1e-3], 2.5e-4,
                                         0.2, m0, theta=0.5)
         assert 0.85 <= results[0].slope <= 1.2
+
+    def test_errors_bitwise_equal_to_stepping_oracle(self):
+        # criterion 1's field and schemes on a small cube; the oracle steps
+        # llg.step itself and keeps a copy of every state, so a state that
+        # a later step updated in place would show here
+        asm = make_cube_assemblies(2)
+        fld = EffectiveField(uniaxial=Uniaxial(1.0, E3),
+                             applied=np.array([-2.0, -0.5, 0.0]))
+        m0 = init_state(asm.mesh, "uniform")
+        schemes = ["PC1", "PC1_IMEX", "PC2", "PC2_IMEX"]
+        ks, k_ref, t_end = [8e-3, 4e-3, 2e-3], 1e-3, 2.4e-2
+
+        def trajectory(scheme, k):
+            cfg = IntegratorConfig(scheme=scheme, k=k, theta=0.5, alpha=1.0,
+                                   lin_tol=1e-12)
+            state = llg.SimState(ell=0, m_curr=m0.copy())
+            fields = [m0.copy()]
+            for _ in range(round(t_end / k)):
+                state = llg.step(state, cfg, fld, asm)
+                fields.append(state.m_curr.copy())
+            return fields
+
+        ref = trajectory("PC2", k_ref)
+        results = run_convergence_study(asm, fld, schemes, ks, k_ref, t_end,
+                                        m0, theta=0.5, alpha=1.0)
+        assert [r.scheme for r in results] == schemes
+        for res in results:
+            errors = []
+            for k in ks:
+                err, ratio = 0.0, round(k / k_ref)
+                for j, m in enumerate(trajectory(res.scheme, k)):
+                    diff = m - ref[j * ratio]
+                    err = max(err, fem.norms(asm.mass, asm.stiffness, diff).h1)
+                errors.append(err)
+            assert res.errors == errors
+            assert res.slope == estimated_order(ks, errors)
+
+    def test_study_holds_only_reference_node_states(self):
+        # the k = k_ref run has as many time nodes as the reference, so a
+        # study that kept its runs' states would hold twice these fields
+        asm = make_cube_assemblies(4)
+        m0 = init_state(asm.mesh, "random", seed=1)
+        k_ref, t_end = 1e-3, 0.1
+        node_bytes = (round(t_end / k_ref) + 1) * m0.nbytes
+        tracemalloc.start()
+        try:
+            run_convergence_study(
+                asm, EffectiveField(applied=np.array([0.0, 1.0, 0.0])),
+                ["PC1"], [2e-3, 1e-3], k_ref, t_end, m0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * node_bytes
 
     def test_estimated_order_exact_power(self):
         ks = [8e-3, 4e-3, 2e-3, 1e-3]

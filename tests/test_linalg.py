@@ -83,6 +83,20 @@ class TestCsrMatrix:
                       indices=np.array(indices), data=np.ones(4),
                       n_rows=3, n_cols=3)
 
+    @pytest.mark.parametrize("name, value, match", [
+        # a cast would truncate column 0.5 to 0
+        ("indices", np.array([0.5, 2.0, 0.0, 1.0]), "indices must be int"),
+        ("indptr", np.array([0.0, 2.0, 2.0, 4.0]), "indptr must be int"),
+        ("data", np.ones(4) + 1e-3j, "data must be real"),
+    ], ids=["fractional_indices", "float_indptr", "complex_data"])
+    def test_non_integer_index_or_complex_data_rejected(self, name, value,
+                                                        match):
+        parts = dict(indptr=np.array([0, 2, 2, 4]),
+                     indices=np.array([0, 2, 0, 1]), data=np.ones(4))
+        parts[name] = value
+        with pytest.raises(InvalidParameterError, match=match):
+            CsrMatrix(**parts, n_rows=3, n_cols=3)
+
     @pytest.mark.parametrize("rows, cols, vals", [
         ([0], [0, 1], [1.0]),
         ([0, 2], [0, 1], [1.0, 2.0]),

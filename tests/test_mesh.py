@@ -93,6 +93,18 @@ class TestMakeMesh:
         with pytest.raises(ParseError):
             Mesh(verts, np.array([[0, 1, 2, 7]]))
 
+    @pytest.mark.parametrize("tets", [
+        [[0, 1.7, 2, 3]],  # a cast truncated 1.7 to vertex 1
+        [[False, True, True, True]],
+    ], ids=["fractional", "boolean"])
+    def test_non_integer_index_rejected(self, tets):
+        with pytest.raises(ParseError, match="tet indices must be integers"):
+            Mesh(UNIT_TET, np.array(tets))
+
+    def test_complex_vertices_rejected(self):
+        with pytest.raises(InvalidParameterError, match="vertices must be real"):
+            Mesh(UNIT_TET + 1e-3j, np.array([[0, 1, 2, 3]]))
+
     def test_degenerate_tet_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]],
                          dtype=float)
