@@ -7,55 +7,62 @@ realized as -beta^{-1} (A w) and never as an inverted matrix.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (InvalidParameterError, ProjectionDegenerateError,
                      real_array)
 from .linalg import CsrMatrix, coo_pattern, spmv
-from .mesh import Mesh, edge_cofactors
+from .mesh import Mesh, edge_cofactors, tet_blocks
 
 UNIT_TOL = 1e-9
 PROJECTION_DELTA_MIN = 1e-12
 ANGLE_SLACK = 1e-13
-TET_BLOCK = 4096  # a (4096, 4, 4) float64 block is 512 KiB
+# the corner pairs i <= j of a tet: its 4 vertices, then its 6 edges
+PAIRS = tuple((i, i) for i in range(4)) + tuple(combinations(range(4), 2))
+_MASS_PAIRS = np.array([(1.0 + (i == j)) / 20.0 for i, j in PAIRS])
 
 
-def _p1_gradients(mesh: Mesh):
-    """Constant barycentric gradients per tet, as a (4, 3, T) array.
+def _p1_gradients(x):
+    """(4, 3, B) barycentric gradients of (3, 4, B) tet corners x.
 
     Cofactor rows over det, no inverse (mesh.edge_cofactors, the determinant
     the volumes come from); grad_0 = -grad_1 - grad_2 - grad_3.  A zero
     edge component and a*b - b*a give exact zeros, so a Kuhn tet's
     stiffness zeros are exact at any edge.
     """
-    cof, det = edge_cofactors(mesh.vertices.T[:, mesh.tets.T])
-    grads = np.empty((4, 3, mesh.n_tets))
+    cof, det = edge_cofactors(x)
+    grads = np.empty((4, 3, det.shape[0]))
     np.divide(cof, det, out=grads[1:])
     grads[0] = -grads[1] - grads[2] - grads[3]
     return grads
 
 
 def _element_stiffness(g, vols):
-    """(T, 4, 4) element stiffness V grad_i.grad_j from (4, 3, T) gradients g.
+    """(B, 10) stiffness V grad_i.grad_j of PAIRS from (4, 3, B) gradients.
 
-    ((g_i0 g_j0) V + (g_i1 g_j1) V) + (g_i2 g_j2) V once per pair i <= j:
-    the operations of np.einsum("tic,tjc,t->tij", G, G, vols) on the
-    (T, 4, 3) view G of g, so bitwise equal to it and exactly symmetric.
-    Blocks of TET_BLOCK tets keep each pair's strided writes in cache.
+    ((g_i0 g_j0) V + (g_i1 g_j1) V) + (g_i2 g_j2) V: the operations of
+    np.einsum("tic,tjc,t->tij", G, G, vols) on the (B, 4, 3) view G of g,
+    so bitwise equal to its upper triangle, which equals its lower one.
     """
-    ke = np.empty((vols.shape[0], 4, 4))
-    for start in range(0, vols.shape[0], TET_BLOCK):
-        block = slice(start, start + TET_BLOCK)
-        gb, v, kb = g[:, :, block], vols[block], ke[block]
-        for i in range(4):
-            for j in range(i, 4):
-                s = gb[i, 0] * gb[j, 0] * v
-                s += gb[i, 1] * gb[j, 1] * v
-                s += gb[i, 2] * gb[j, 2] * v
-                kb[:, i, j] = s
-                kb[:, j, i] = s
+    ke = np.empty((vols.shape[0], len(PAIRS)))
+    for p, (i, j) in enumerate(PAIRS):
+        s = g[i, 0] * g[j, 0] * vols
+        s += g[i, 1] * g[j, 1] * vols
+        s += g[i, 2] * g[j, 2] * vols
+        ke[:, p] = s
     return ke
+
+
+def _edge_keys(tets, n):
+    """Key min * n + max of the 6 edges in PAIRS of every tet, tet-major."""
+    corners = tets.T.copy()
+    key = np.empty((tets.shape[0], 6), dtype=np.int64)
+    for p, (i, j) in enumerate(PAIRS[4:]):
+        a, b = corners[i], corners[j]
+        np.add(np.minimum(a, b) * n, np.maximum(a, b), out=key[:, p])
+    return key.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,37 +84,48 @@ class Assemblies:
 
 
 def build_assemblies(mesh: Mesh) -> Assemblies:
-    """Stiffness, consistent mass and lumped weights from one geometry pass.
+    """Stiffness, consistent mass and lumped weights, in blocks of tets.
 
     - A_{z,z'} = <grad phi_{z'}, grad phi_z>: symmetric, zero row sums.
     - M_{z,z'} = <phi_{z'}, phi_z>: element matrix V/20 * (1 + delta_ij).
     - beta_z = sum over incident tets of V/4.
-    The gradients come from cofactors on component rows (_p1_gradients)
-    and the element stiffness from them, pair by pair (_element_stiffness).
-    M stores every vertex pair of a tet, from one stable sort of the pair
-    keys; each matrix sums its element values per entry from 0.0 in tet
-    order.  A keeps only its entries that are not exactly 0.0 (on a Kuhn
-    cube of any edge length a 7-point stencil): a stored 0.0 adds a signed
-    zero to a row sum that is never -0.0, so no product with a finite
-    operand changes.
+    One stable sort of the keys min * n + max of every tet's 6 edges gives
+    the strictly upper pattern; every vertex is in a tet, so the diagonal
+    needs no key.  Per block of mesh.TET_BLOCK tets, the gradients
+    (_p1_gradients) give the values of the 10 corner pairs i <= j, which
+    np.add.at sums per vertex and edge from 0.0 in tet order.  Element
+    matrices are exactly symmetric and a tet holds a vertex once, so these
+    sums mirrored into the full pattern are bitwise those of all 16 pairs.
+    M stores every vertex pair of a tet.  A keeps only its entries that are
+    not exactly 0.0 (on a Kuhn cube of any edge length a 7-point stencil):
+    a stored 0.0 adds a signed zero to a row sum that is never -0.0, so no
+    product with a finite operand changes.
     """
     n, tets, vols = mesh.n_vertices, mesh.tets, mesh.volumes
-    indptr, indices, entry = coo_pattern(
-        (tets[:, :, None] * n + tets[:, None, :]).ravel(), (n, n))
-    grads = _p1_gradients(mesh)  # after the pattern: lower peak memory
-
-    def summed(ke):
-        return np.bincount(entry, weights=ke.reshape(-1),
-                           minlength=indices.shape[0])
-
-    mass = CsrMatrix(indptr=indptr, indices=indices, n_rows=n, n_cols=n,
-                     data=summed(vols[:, None, None]
-                                 * ((np.ones((4, 4)) + np.eye(4)) / 20.0)))
-    a = summed(_element_stiffness(grads, vols))
+    indptr, cols, edge = coo_pattern(_edge_keys(tets, n), (n, n))
+    edge = edge.reshape(-1, 6)
+    # stiffness and mass sums: vertex z at z, upper edge e at n + e
+    sums = np.zeros((2, n + cols.shape[0]))
+    for block in tet_blocks(tets.shape[0]):
+        v = vols[block]
+        pair = np.concatenate((tets[block], edge[block] + n), axis=1).ravel()
+        grads = _p1_gradients(mesh.vertices.T[:, tets[block].T])
+        np.add.at(sums[0], pair, _element_stiffness(grads, v).ravel())
+        np.add.at(sums[1], pair, (v[:, None] * _MASS_PAIRS).ravel())
+    del edge
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    indptr, indices, entry = coo_pattern(np.concatenate(
+        (np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)), (n, n))
+    a, m = np.empty(entry.shape[0]), np.empty(entry.shape[0])
+    a[entry], m[entry] = np.concatenate((sums, sums[:, n:]), axis=1)  # mirror
+    del rows, cols, entry, sums  # before the CSR plans: a lower peak
     keep = a != 0.0
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    stiffness = CsrMatrix(indptr=kept_before[indptr], indices=indices[keep],
-                          data=a[keep], n_rows=n, n_cols=n)
+    kept = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    stiffness = CsrMatrix(indptr=kept, indices=indices[keep], data=a[keep],
+                          n_rows=n, n_cols=n)
+    del a, keep
+    mass = CsrMatrix(indptr=indptr, indices=indices, data=m,
+                     n_rows=n, n_cols=n)
     beta = np.bincount(tets.ravel(), weights=np.repeat(vols / 4.0, 4),
                        minlength=n)
     return Assemblies(mesh=mesh, stiffness=stiffness, mass=mass, beta=beta)

@@ -252,12 +252,13 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     check_real(k_ref, "k_ref", positive=True, error=ConfigError)
     check_real(t_end, "t_end", positive=True, error=ConfigError)
     check_real(t_end / k_ref, "step count t_end / k_ref", error=ConfigError)
+    for k in ks:
+        check_real(k, "k", positive=True, error=ConfigError)
     ks = sorted(set(float(k) for k in ks), reverse=True)
     if not ks or not len(schemes):
         raise ConfigError("a convergence study needs a scheme and a k")
     ratios = []
     for k in ks:
-        check_real(k, "k", positive=True, error=ConfigError)
         ratio = k / k_ref
         check_real(ratio, "step ratio k / k_ref", error=ConfigError)
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:

@@ -1,9 +1,10 @@
 """Structured tetrahedral meshes of boxes and a line-oriented text format.
 
-A Mesh computes and validates its geometry once, when it is constructed:
-one gather of the tet corners gives every signed volume, e1.(e2 x e3)/6
-from the one cofactor row of the P1 gradients it needs (all must be
-positive), and the longest edge h_max.  Cube meshes use the Kuhn 6-tet
+A Mesh computes and validates its geometry once, when it is constructed,
+in blocks of TET_BLOCK tets: one gather of a block's corners gives its
+signed volumes, e1.(e2 x e3)/6 from the one cofactor row of the P1
+gradients they need (all must be positive), and its longest edge, so no
+full-size corner array is ever held.  Cube meshes use the Kuhn 6-tet
 subdivision of every grid cell with the same diagonal everywhere; the
 cell table is positively oriented by construction.  The triangulation is
 conforming, quasi-uniform and all its dihedral angles are at most pi/2,
@@ -19,6 +20,13 @@ import numpy as np
 
 from .errors import (GeometryError, InvalidParameterError, ParseError,
                      check_int, check_real, real_array)
+
+TET_BLOCK = 4096  # a (3, 4, 4096) float64 corner block is 384 KiB
+
+
+def tet_blocks(n_tets):
+    """Slices of TET_BLOCK consecutive tets that cover range(n_tets)."""
+    return [slice(s, s + TET_BLOCK) for s in range(0, n_tets, TET_BLOCK)]
 
 
 def _edge_det(x, cof):
@@ -74,23 +82,27 @@ class Mesh:
             raise GeometryError(f"vertex {bad} has a non-finite coordinate")
         if tets.min() < 0 or tets.max() >= n:
             raise ParseError(f"tet index out of range (mesh has {n} vertices)")
-        x = vertices.T[:, tets.T]  # (3, 4, T) corners on component rows
-        volumes = _edge_det(x, np.empty((1, 3, len(tets)))) / 6.0
+        volumes = np.empty(len(tets))
+        h_sq = 0.0  # largest squared edge length
+        for block in tet_blocks(len(tets)):
+            x = vertices.T[:, tets[block].T]  # (3, 4, B) corners
+            np.divide(_edge_det(x, np.empty((1, 3, x.shape[2]))), 6.0,
+                      out=volumes[block])
+            h_sq = max(h_sq, *(
+                float(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
+                for d in (x[:, i] - x[:, j]
+                          for i, j in combinations(range(4), 2))))
         if np.any(volumes <= 0.0):
             bad = int(np.argmax(volumes <= 0.0))
             raise GeometryError(
                 f"tet {bad} has non-positive volume {volumes[bad]:.3e}")
-        # after the corner gather: counted before it, this freed array moved
-        # the heap layout, and an n=32 build-and-solve loop peaked 10% higher
         uses = np.bincount(tets.ravel(), minlength=n)
         if not uses.all():
             raise GeometryError(
                 f"vertex {int(np.argmin(uses))} is used by no tet")
         # sqrt is monotone and correctly rounded, so the root of the largest
         # squared length is the largest np.linalg.norm of an edge, bitwise
-        h_max = math.sqrt(max(
-            float(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
-            for d in (x[:, i] - x[:, j] for i, j in combinations(range(4), 2))))
+        h_max = math.sqrt(h_sq)
         for name, value in (("vertices", vertices), ("tets", tets),
                             ("volumes", volumes), ("h_max", h_max)):
             object.__setattr__(self, name, value)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from llgpc.errors import InvalidParameterError, ProjectionDegenerateError
-from llgpc.fem import (TET_BLOCK, _element_stiffness, _p1_gradients,
-                       apply_Ph, build_assemblies, check_angle_condition,
+from llgpc.fem import (PAIRS, _element_stiffness, _p1_gradients, apply_Ph,
+                       build_assemblies, check_angle_condition,
                        discrete_laplacian, grad_sq, inner_l2, nodal_cross,
                        nodal_project_sphere, norms)
 from llgpc.linalg import spmv
-from llgpc.mesh import Mesh, build_cube_mesh, edge_cofactors
+from llgpc.mesh import (TET_BLOCK, Mesh, build_cube_mesh, edge_cofactors,
+                        tet_blocks)
 
 from conftest import dense, inner_h, norm_h, oriented_mesh, random_unit_field
 
@@ -32,11 +33,25 @@ class TestLumpedMass:
             mesh.volumes[incident].sum() / 4.0)
 
 
-def perturbed_cube3():
-    mesh = build_cube_mesh(3, 1.0)
+def perturbed_cube(n, shift):
+    mesh = build_cube_mesh(n, 1.0)
     rng = np.random.Generator(np.random.Philox(5))
-    shift = rng.uniform(-0.03, 0.03, mesh.vertices.shape)
+    shift = rng.uniform(-shift, shift, mesh.vertices.shape)
     return Mesh(mesh.vertices + shift, mesh.tets)
+
+
+def perturbed_cube3():
+    return perturbed_cube(3, 0.03)
+
+
+def perturbed_cube9():
+    """4374 tets: a full TET_BLOCK and a partial one."""
+    return perturbed_cube(9, 0.01)
+
+
+def gradients(mesh):
+    """(T, 4, 3) gradients of all tets from one unblocked corner gather."""
+    return _p1_gradients(mesh.vertices.T[:, mesh.tets.T]).transpose(2, 0, 1)
 
 
 def inverse_gradients(mesh):
@@ -52,14 +67,14 @@ def inverse_gradients(mesh):
 class TestGradients:
     def test_cofactors_match_inverse_on_perturbed_cube(self):
         mesh = perturbed_cube3()
-        grads = _p1_gradients(mesh).transpose(2, 0, 1)
+        grads = gradients(mesh)
         assert grads.shape == (162, 4, 3)
         assert (np.abs(grads - inverse_gradients(mesh)).max()
                 <= 1e-15 * np.abs(grads).max())
 
     def test_dual_to_edges(self):
         mesh = perturbed_cube3()
-        grads = _p1_gradients(mesh).transpose(2, 0, 1)
+        grads = gradients(mesh)
         x = mesh.vertices[mesh.tets]
         # grad_i . (x_j - x_0) = delta_ij for i, j in 1..3
         duals = np.einsum("tic,tjc->tij", grads[:, 1:], x[:, 1:] - x[:, :1])
@@ -67,14 +82,23 @@ class TestGradients:
 
     def test_unit_kuhn_bitwise_equal_to_inverse(self):
         mesh = build_cube_mesh(8, 1.0)
-        assert np.array_equal(_p1_gradients(mesh).transpose(2, 0, 1),
-                              inverse_gradients(mesh))
+        assert np.array_equal(gradients(mesh), inverse_gradients(mesh))
 
     def test_volumes_are_the_cofactor_determinant_over_six(self):
         # one determinant per tet gives the volumes and the gradients
         mesh = perturbed_cube3()
         _, det = edge_cofactors(mesh.vertices.T[:, mesh.tets.T])
         assert mesh.volumes.tobytes() == (det / 6.0).tobytes()
+
+    def test_blocked_geometry_equals_unblocked(self):
+        mesh = perturbed_cube9()
+        assert mesh.n_tets > TET_BLOCK
+        _, det = edge_cofactors(mesh.vertices.T[:, mesh.tets.T])
+        assert mesh.volumes.tobytes() == (det / 6.0).tobytes()
+        x = mesh.vertices[mesh.tets]
+        assert mesh.h_max == max(
+            float(np.linalg.norm(x[:, i] - x[:, j], axis=1).max())
+            for i, j in PAIRS[4:])
 
 
 class TestElementStiffness:
@@ -85,10 +109,13 @@ class TestElementStiffness:
             grads = rng.normal(size=(t, 4, 3)) * 10.0 ** rng.uniform(
                 -3, 3, (t, 1, 1))
             vols = 10.0 ** rng.uniform(-6, 0, t)
-            ke = _element_stiffness(grads.transpose(1, 2, 0), vols)
-            assert ke.tobytes() == np.einsum("tic,tjc,t->tij", grads, grads,
-                                             vols).tobytes()
-            assert np.array_equal(ke, ke.transpose(0, 2, 1))
+            ke = np.concatenate([
+                _element_stiffness(grads[b].transpose(1, 2, 0), vols[b])
+                for b in tet_blocks(t)])
+            full = np.einsum("tic,tjc,t->tij", grads, grads, vols)
+            i, j = np.array(PAIRS).T
+            assert ke.tobytes() == full[:, i, j].tobytes()
+            assert ke.tobytes() == full[:, j, i].tobytes()  # symmetric
 
 
 class TestAssembly:
@@ -112,10 +139,10 @@ class TestAssembly:
         assert stiffness.nnz == nnz
 
     @pytest.mark.parametrize("mesh", [build_cube_mesh(2, 1.0),
-                                      perturbed_cube3()],
-                             ids=["kuhn_n2", "perturbed_n3"])
+                                      perturbed_cube3(), perturbed_cube9()],
+                             ids=["kuhn_n2", "perturbed_n3", "perturbed_n9"])
     def test_stiffness_equals_dense_accumulation_in_tet_order(self, mesh):
-        grads = _p1_gradients(mesh).transpose(2, 0, 1)
+        grads = gradients(mesh)
         ke = np.einsum("tic,tjc,t->tij", grads, grads, mesh.volumes)
         expected = np.zeros((mesh.n_vertices, mesh.n_vertices))
         for t, tet in enumerate(mesh.tets):
@@ -124,13 +151,14 @@ class TestAssembly:
                               expected)
 
     def test_mass_equals_dense_accumulation_in_tet_order(self):
-        mesh = perturbed_cube3()
-        ke = (mesh.volumes[:, None, None]
-              * ((np.ones((4, 4)) + np.eye(4)) / 20.0))
-        expected = np.zeros((mesh.n_vertices, mesh.n_vertices))
-        for t, tet in enumerate(mesh.tets):
-            np.add.at(expected, (tet[:, None], tet[None, :]), ke[t])
-        assert np.array_equal(dense(build_assemblies(mesh).mass), expected)
+        for mesh in (perturbed_cube3(), perturbed_cube9()):
+            ke = (mesh.volumes[:, None, None]
+                  * ((np.ones((4, 4)) + np.eye(4)) / 20.0))
+            expected = np.zeros((mesh.n_vertices, mesh.n_vertices))
+            for t, tet in enumerate(mesh.tets):
+                np.add.at(expected, (tet[:, None], tet[None, :]), ke[t])
+            assert np.array_equal(dense(build_assemblies(mesh).mass),
+                                  expected)
 
     def test_peak_memory_n16(self):
         mesh = build_cube_mesh(16, 1.0)
@@ -140,7 +168,16 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14 * 2**20
+        assert peak < 10 * 2**20
+
+    def test_cube_mesh_peak_memory_n16(self):
+        tracemalloc.start()
+        try:
+            build_cube_mesh(16, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestStiffness:

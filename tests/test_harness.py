@@ -282,6 +282,16 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             start(asm, init_state(asm.mesh, "uniform"))
 
+    @pytest.mark.parametrize("k", ["1e-3", "x", None],
+                             ids=["numeric_str", "str", "none"])
+    def test_study_k_checked_before_cast(self, k):
+        # float(k) ran first: "1e-3" was a step size, "x" raised ValueError
+        # and None TypeError
+        asm = make_cube_assemblies(1)
+        with pytest.raises(ConfigError, match="k must be a finite positive"):
+            run_convergence_study(asm, EffectiveField(), ["PC2"], [k], 1e-3,
+                                  1e-2, init_state(asm.mesh, "uniform"))
+
     @pytest.mark.parametrize("start,match", [
         (lambda asm, m0: run_convergence_study(
             asm, EffectiveField(), ["PC2", "PC3"], [2e-3], 1e-3, 1e-2, m0),
