@@ -7,8 +7,8 @@ from .fem import (Assemblies, apply_Ph, build_assemblies,
                   check_angle_condition, discrete_laplacian, grad_sq,
                   inner_l2, norms)
 from .harness import (RunConfig, RunResult, TraceRow, init_state,
-                      make_cube_assemblies, run_convergence_study,
-                      run_simulation, run_stability_sweep)
+                      run_convergence_study, run_simulation,
+                      run_stability_sweep)
 from .llg import (EffectiveField, IntegratorConfig, SimState, Uniaxial,
                   corrector_pc2, corrector_project, energy, predictor_full,
                   predictor_fully_implicit, step)
@@ -24,7 +24,7 @@ __all__ = [
     "Uniaxial", "apply_Ph", "build_assemblies", "build_cube_mesh",
     "check_angle_condition", "corrector_pc2", "corrector_project",
     "discrete_laplacian", "energy", "grad_sq", "init_state", "inner_l2",
-    "load_mesh", "make_cube_assemblies", "norms", "predictor_full",
-    "predictor_fully_implicit", "run_convergence_study", "run_simulation",
-    "run_stability_sweep", "save_mesh", "step",
+    "load_mesh", "norms", "predictor_full", "predictor_fully_implicit",
+    "run_convergence_study", "run_simulation", "run_stability_sweep",
+    "save_mesh", "step",
 ]

@@ -18,9 +18,10 @@ class InvalidParameterError(LlgpcError, ValueError):
 def check_real(x, what: str, positive: bool = False,
                error: type = InvalidParameterError) -> None:
     """Raise `error` unless x is a finite real number that is >= 0, or > 0
-    with positive; arrays, strings and NaN are rejected."""
-    if not (isinstance(x, numbers.Real) and math.isfinite(x) and x >= 0
-            and (x > 0 or not positive)):
+    with positive; arrays, strings, bools and NaN are rejected."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Real)
+                                   and math.isfinite(x) and x >= 0
+                                   and (x > 0 or not positive)):
         raise error(
             f"{what} must be a finite {'positive' if positive else '>= 0'} "
             f"real number, got {x!r}")
@@ -28,17 +29,22 @@ def check_real(x, what: str, positive: bool = False,
 
 def check_int(x, what: str, low: int,
               error: type = InvalidParameterError) -> None:
-    """Raise `error` unless x is an integer (numpy integers too) >= low."""
-    if not (isinstance(x, numbers.Integral) and x >= low):
+    """Raise `error` unless x is an integer (numpy integers too, not a
+    bool) >= low."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Integral)
+                                   and x >= low):
         raise error(f"{what} must be an integer >= {low}, got {x!r}")
 
 
 def real_array(x, what: str) -> np.ndarray:
-    """x as a float64 array; InvalidParameterError if x is complex, whose
-    imaginary part the cast would drop with only a warning."""
+    """x as a float64 array; InvalidParameterError if the cast fails or x
+    is complex, whose imaginary part the cast would drop with a warning."""
     if np.iscomplexobj(x):
         raise InvalidParameterError(f"{what} must be real, not complex")
-    return np.asarray(x, dtype=np.float64)
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{what} must be real numbers") from exc
 
 
 class ConfigError(LlgpcError, ValueError):

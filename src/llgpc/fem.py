@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (InvalidParameterError, ProjectionDegenerateError,
                      real_array)
 from .linalg import CsrMatrix, coo_pattern, spmv
-from .mesh import Mesh, edge_cofactors, tet_blocks
+from .mesh import Mesh, edge_det, tet_blocks
 
 UNIT_TOL = 1e-9
 PROJECTION_DELTA_MIN = 1e-12
@@ -27,14 +27,14 @@ _MASS_PAIRS = np.array([(1.0 + (i == j)) / 20.0 for i, j in PAIRS])
 def _p1_gradients(x):
     """(4, 3, B) barycentric gradients of (3, 4, B) tet corners x.
 
-    Cofactor rows over det, no inverse (mesh.edge_cofactors, the determinant
-    the volumes come from); grad_0 = -grad_1 - grad_2 - grad_3.  A zero
-    edge component and a*b - b*a give exact zeros, so a Kuhn tet's
+    Cofactor rows over det, no inverse: mesh.edge_det, which gives the
+    volumes, writes them into grads[1:]; grad_0 = -grad_1 - grad_2 - grad_3.
+    A zero edge component and a*b - b*a give exact zeros, so a Kuhn tet's
     stiffness zeros are exact at any edge.
     """
-    cof, det = edge_cofactors(x)
-    grads = np.empty((4, 3, det.shape[0]))
-    np.divide(cof, det, out=grads[1:])
+    grads = np.empty((4, 3, x.shape[2]))
+    cof = grads[1:]
+    cof /= edge_det(x, cof)
     grads[0] = -grads[1] - grads[2] - grads[3]
     return grads
 

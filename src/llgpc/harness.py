@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError, LlgpcError,
                      SolverFailure, check_int, check_real, real_array)
-from .fem import UNIT_TOL, Assemblies, build_assemblies, grad_sq, norms
+from .fem import UNIT_TOL, Assemblies, grad_sq, norms
 from .llg import (EffectiveField, IntegratorConfig, SimState, energy, step)
-from .mesh import Mesh, build_cube_mesh
+from .mesh import Mesh
 
 RELAX_GRAD_SQ_TOL = 1e-8
 ORDER_POINTS = 3  # finest step sizes in the convergence-order fit
@@ -190,7 +190,7 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
             state = step(state, cfg.integrator, cfg.field, asm)
         except LlgpcError as exc:
             err = SolverFailure(cfg.integrator.scheme, state.ell + 1, k,
-                                state.time(k), exc)
+                                state.ell * k, exc)
             return RunResult(state=state, trace=trace, status="failed",
                              error=err)
         if observe is not None:
@@ -343,6 +343,8 @@ def run_stability_sweep(asm: Assemblies, field_cfg: EffectiveField,
     order is deterministic: thetas outer, ks inner, in the order given.
     """
     check_real(t_cap, "t_cap", positive=True, error=ConfigError)
+    if not (len(thetas) and len(ks)):
+        raise ConfigError("a stability sweep needs a theta and a k")
 
     def config(theta, k):
         check_real(k, "k", positive=True, error=ConfigError)
@@ -368,9 +370,3 @@ def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
     return _csv(("theta", "k", "stable", "status", "steps_taken"),
                 ([_num(c.theta), _num(c.k), int(c.stable), c.status,
                   c.steps_taken] for c in cells))
-
-
-def make_cube_assemblies(n: int, edge: float = 1.0,
-                         center=(0.0, 0.0, 0.0)) -> Assemblies:
-    """Convenience: structured cube mesh plus all assembled operators."""
-    return build_assemblies(build_cube_mesh(n, edge, center))

@@ -79,6 +79,8 @@ class EffectiveField:
         if not (math.isfinite(sq) and sq > 0.0):
             raise InvalidParameterError("exchange length must have a finite "
                                         f"positive square, got {self.ell_ex!r}")
+        if not isinstance(self.uniaxial, (Uniaxial, type(None))):
+            raise InvalidParameterError("uniaxial must be a Uniaxial or None")
         if (self.uniaxial is not None
                 and not math.isfinite(self.uniaxial.c / self.ell_ex ** 2)):
             raise InvalidParameterError(
@@ -126,11 +128,7 @@ class SimState:
     ell: int
     m_curr: np.ndarray
     m_prev: Optional[np.ndarray] = None
-    v_last: Optional[np.ndarray] = None
     predictor_iterations: int = 0
-
-    def time(self, k: float) -> float:
-        return self.ell * k
 
 
 def ph_pi(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray):
@@ -320,5 +318,5 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
     if not finite.all():  # else only the next step's GMRES rejects it
         raise NonFiniteStateError(int(np.argmin(finite)))
 
-    return SimState(ell=state.ell + 1, m_curr=m_next, m_prev=m, v_last=v,
+    return SimState(ell=state.ell + 1, m_curr=m_next, m_prev=m,
                     predictor_iterations=iters)

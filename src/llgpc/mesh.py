@@ -29,23 +29,16 @@ def tet_blocks(n_tets):
     return [slice(s, s + TET_BLOCK) for s in range(0, n_tets, TET_BLOCK)]
 
 
-def _edge_det(x, cof):
+def edge_det(x, cof):
     """det = e1.(e2 x e3) of (3, 4, T) tet corners x, e_k = x_k - x_0, six
     times the signed volume; the cofactor rows e2 x e3, e3 x e1, e1 x e2
-    fill as many rows as the (r, 3, T) array cof has, r = 1 to 3."""
+    fill as many rows as the (r, 3, T) array cof has, r = 1 to 3.  Row k
+    over det is the gradient of corner k+1's hat function."""
     e1, e2, e3 = (x[:, k] - x[:, 0] for k in (1, 2, 3))
     for c, (a, b) in zip(cof, ((e2, e3), (e3, e1), (e1, e2))):
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             np.subtract(a[j] * b[k], a[k] * b[j], out=c[i])
     return e1[0] * cof[0, 0] + e1[1] * cof[0, 1] + e1[2] * cof[0, 2]
-
-
-def edge_cofactors(x):
-    """Rows e2 x e3, e3 x e1, e1 x e2 (3, 3, T) and det = e1.(e2 x e3) of
-    (3, 4, T) tet corners x, e_k = x_k - x_0: det is six times the signed
-    volume and row k over det the gradient of corner k+1's hat function."""
-    cof = np.empty((3, 3, x.shape[2]))
-    return cof, _edge_det(x, cof)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +79,7 @@ class Mesh:
         h_sq = 0.0  # largest squared edge length
         for block in tet_blocks(len(tets)):
             x = vertices.T[:, tets[block].T]  # (3, 4, B) corners
-            np.divide(_edge_det(x, np.empty((1, 3, x.shape[2]))), 6.0,
+            np.divide(edge_det(x, np.empty((1, 3, x.shape[2]))), 6.0,
                       out=volumes[block])
             h_sq = max(h_sq, *(
                 float(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
@@ -140,7 +133,7 @@ def build_cube_mesh(n: int, edge_length: float, center=(0.0, 0.0, 0.0)) -> Mesh:
     """
     check_int(n, "n", 1)
     check_real(edge_length, "edge_length", positive=True)
-    center = np.asarray(center, dtype=np.float64)
+    center = real_array(center, "center")
     if center.shape != (3,):
         raise InvalidParameterError("center must be a 3-vector")
 

@@ -29,19 +29,24 @@ def reference_tet_asm(reference_tet):
     return build_assemblies(reference_tet)
 
 
+def cube_asm(n, edge=1.0):
+    """Assemblies of the Kuhn cube of n^3 cells and the given edge length."""
+    return build_assemblies(build_cube_mesh(n, edge))
+
+
 @pytest.fixture(scope="session")
 def cube1_asm():
-    return build_assemblies(build_cube_mesh(1, 1.0))
+    return cube_asm(1)
 
 
 @pytest.fixture(scope="session")
 def cube2_asm():
-    return build_assemblies(build_cube_mesh(2, 1.0))
+    return cube_asm(2)
 
 
 @pytest.fixture(scope="session")
 def cube4_asm():
-    return build_assemblies(build_cube_mesh(4, 1.0))
+    return cube_asm(4)
 
 
 def oriented_mesh(vertices, tets):

@@ -14,15 +14,14 @@ import pytest
 from llgpc import llg
 from llgpc.fem import (build_assemblies, check_angle_condition,
                        discrete_laplacian, grad_sq, inner_l2, nodal_cross)
-from llgpc.harness import (RunConfig, init_state, make_cube_assemblies,
-                           run_convergence_study, run_simulation,
-                           run_stability_sweep)
+from llgpc.harness import (RunConfig, init_state, run_convergence_study,
+                           run_simulation, run_stability_sweep)
 from llgpc.llg import (EffectiveField, IntegratorConfig, SimState, Uniaxial,
                        corrector_pc2, step)
 from llgpc.mesh import Mesh, build_cube_mesh
 
 import tangent_oracle
-from conftest import (REFERENCE_TET_VERTICES, inner_h, norm_h,
+from conftest import (REFERENCE_TET_VERTICES, cube_asm, inner_h, norm_h,
                       random_unit_field, tangency_recorder)
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -46,7 +45,7 @@ def recorder():
 
 @pytest.fixture(scope="module")
 def cube8_asm():
-    return make_cube_assemblies(8)
+    return cube_asm(8)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +62,7 @@ def equivalence_worst(recorder):
     worst = 0.0
     cfg_count = 0
     for n in (1, 2):
-        asm = make_cube_assemblies(n)
+        asm = cube_asm(n)
         fields = [random_unit_field(asm.n, 1000 + i) for i in range(20)]
         for theta in (0.0, 0.5, 1.0):
             for alpha in (1.0, 1.0 / 16.0):
@@ -85,7 +84,7 @@ def equivalence_worst(recorder):
 def dense_oracle_worst(recorder):
     single = build_assemblies(
         Mesh(REFERENCE_TET_VERTICES, np.array([[0, 1, 2, 3]])))
-    cube1 = make_cube_assemblies(1)
+    cube1 = cube_asm(1)
     worst_pred = 0.0
     worst_corr = 0.0
     for asm, seed in ((single, 7), (cube1, 8)):
@@ -202,9 +201,11 @@ class TestAcceptance:
         drift = 0.0
         for _ in range(100):
             m = state.m_curr
+            # the v that step solves for: PC1_PROJFREE, no lower-order field
+            v, _ = llg.predictor_full(m, cfg, fld, cube4_asm)
             state = step(state, cfg, fld, cube4_asm)
             lap = discrete_laplacian(cube4_asm.stiffness, cube4_asm.beta,
-                                     m + 0.5 * k * state.v_last)
+                                     m + 0.5 * k * v)
             dissipated += (alpha / (1 + alpha ** 2)) * ell ** 4 * k * \
                 norm_h(cube4_asm.beta, nodal_cross(m, lap)) ** 2
             e_now = 0.5 * ell ** 2 * grad_sq(cube4_asm.stiffness,
@@ -214,7 +215,7 @@ class TestAcceptance:
                f"max relative drift {drift:.3e} over 100 steps")
 
     def test_08_stability_map_pattern(self):
-        asm = make_cube_assemblies(4, edge=0.4)
+        asm = cube_asm(4, edge=0.4)
         m0 = init_state(asm.mesh, "random", seed=7)
         thetas = [0.0, 0.25, 0.5, 0.75, 1.0]
         ks = [i * 1e-3 for i in range(1, 13)]
@@ -252,7 +253,7 @@ class TestAcceptance:
         worst_proj = 0.0
         inv_constants = {}
         for n in (2, 4, 8):
-            asm = make_cube_assemblies(n)
+            asm = cube_asm(n)
             h2 = asm.mesh.h_max ** 2
             rng = np.random.Generator(np.random.Philox(900 + n))
             c_n = 0.0

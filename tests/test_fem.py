@@ -9,8 +9,7 @@ from llgpc.fem import (PAIRS, _element_stiffness, _p1_gradients, apply_Ph,
                        discrete_laplacian, grad_sq, inner_l2, nodal_cross,
                        nodal_project_sphere, norms)
 from llgpc.linalg import spmv
-from llgpc.mesh import (TET_BLOCK, Mesh, build_cube_mesh, edge_cofactors,
-                        tet_blocks)
+from llgpc.mesh import TET_BLOCK, Mesh, build_cube_mesh, edge_det, tet_blocks
 
 from conftest import dense, inner_h, norm_h, oriented_mesh, random_unit_field
 
@@ -87,13 +86,15 @@ class TestGradients:
     def test_volumes_are_the_cofactor_determinant_over_six(self):
         # one determinant per tet gives the volumes and the gradients
         mesh = perturbed_cube3()
-        _, det = edge_cofactors(mesh.vertices.T[:, mesh.tets.T])
+        det = edge_det(mesh.vertices.T[:, mesh.tets.T],
+                       np.empty((3, 3, mesh.n_tets)))
         assert mesh.volumes.tobytes() == (det / 6.0).tobytes()
 
     def test_blocked_geometry_equals_unblocked(self):
         mesh = perturbed_cube9()
         assert mesh.n_tets > TET_BLOCK
-        _, det = edge_cofactors(mesh.vertices.T[:, mesh.tets.T])
+        det = edge_det(mesh.vertices.T[:, mesh.tets.T],
+                       np.empty((3, 3, mesh.n_tets)))
         assert mesh.volumes.tobytes() == (det / 6.0).tobytes()
         x = mesh.vertices[mesh.tets]
         assert mesh.h_max == max(

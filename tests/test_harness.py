@@ -7,12 +7,13 @@ import pytest
 from llgpc import fem, harness, llg
 from llgpc.errors import (ConfigError, InvalidParameterError, LlgpcError,
                           NoConvergenceError, SolverFailure)
-from llgpc.harness import (RunConfig, convergence_to_csv,
-                           estimated_order, init_state, make_cube_assemblies,
-                           run_convergence_study, run_simulation,
+from llgpc.harness import (RunConfig, convergence_to_csv, estimated_order,
+                           init_state, run_convergence_study, run_simulation,
                            run_stability_sweep, sweep_to_csv, trace_to_csv)
 from llgpc.llg import EffectiveField, IntegratorConfig, Uniaxial
-from llgpc.mesh import build_cube_mesh
+from llgpc.mesh import Mesh, build_cube_mesh
+
+from conftest import cube_asm
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -62,7 +63,7 @@ class TestInitState:
 
 class TestRunSimulation:
     def test_uniform_relaxes_immediately(self):
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
                         field=EffectiveField(), t_end=1e-2, relax=True)
         res = run_simulation(asm, cfg, init_state(asm.mesh, "uniform"))
@@ -70,7 +71,7 @@ class TestRunSimulation:
         assert res.state.ell == 0
 
     def test_random_relaxes_monotonically(self):
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
                         field=EffectiveField(), t_end=20.0, stride=1,
                         relax=True, monitor_stability=True)
@@ -81,7 +82,7 @@ class TestRunSimulation:
         assert g[-1] <= 1e-8
 
     def test_unstable_flagged(self):
-        asm = make_cube_assemblies(4, edge=0.4)
+        asm = cube_asm(4, edge=0.4)
         cfg = RunConfig(
             integrator=IntegratorConfig(scheme="PC2", k=1e-2, theta=0.0),
             field=EffectiveField(), t_end=5.0, relax=True,
@@ -90,7 +91,7 @@ class TestRunSimulation:
         assert res.status == "unstable"
 
     def test_trace_times_monotone_and_stride(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1", k=1e-3),
                         field=EffectiveField(applied=np.array([0, 0, 1.0])),
                         t_end=1e-2, stride=2)
@@ -100,7 +101,7 @@ class TestRunSimulation:
         assert res.trace[1].ell == 2
 
     def test_unit_error_small_for_projecting_schemes(self):
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         for scheme in ("PC1", "PC2"):
             cfg = RunConfig(integrator=IntegratorConfig(scheme=scheme, k=1e-3),
                             field=EffectiveField(), t_end=2e-2)
@@ -110,7 +111,7 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("bad", ["scaled", "nan", "inf"])
     def test_non_unit_m0_rejected(self, bad):
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         m0 = init_state(asm.mesh, "random", seed=4)
         if bad == "scaled":
             m0 = 2.0 * m0
@@ -125,7 +126,7 @@ class TestRunSimulation:
 
     def test_complex_m0_rejected(self, monkeypatch):
         # its real part is a unit field: cast to float64, it would run
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
                         field=EffectiveField(), t_end=3e-3)
         monkeypatch.setattr(harness, "step", None)  # no step may run
@@ -135,7 +136,7 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("shape", [(24,), (3, 3), (8, 2)])
     def test_m0_of_wrong_shape_rejected(self, shape, monkeypatch):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
                         field=EffectiveField(), t_end=3e-3)
         monkeypatch.setattr(harness, "step", None)  # no step may run
@@ -143,7 +144,7 @@ class TestRunSimulation:
             run_simulation(asm, cfg, np.ones(shape) / np.sqrt(shape[-1]))
 
     def test_grad_sq_once_per_trace_row(self, monkeypatch):
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         fld = EffectiveField(uniaxial=Uniaxial(1.0, E3),
                              applied=np.array([-2.0, -0.5, 0.0]))
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_IMEX", k=1e-3),
@@ -164,7 +165,7 @@ class TestRunSimulation:
         assert last.energy == llg.energy(asm, fld, res.state.m_curr, last.t)
 
     def test_observe_sees_every_step_once_in_order(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_IMEX", k=0.1),
                         field=EffectiveField(), t_end=0.5, stride=5)
         m0 = init_state(asm.mesh, "random", seed=3)
@@ -180,7 +181,7 @@ class TestRunSimulation:
 
     def test_observe_skips_failed_step_and_sees_step_0_relax(
             self, monkeypatch):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         seen = []
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
                         field=EffectiveField(), t_end=1e-2, relax=True)
@@ -205,7 +206,7 @@ class TestRunSimulation:
     def test_overflowed_projection_free_run_fails(self):
         # m.v = 0 nodewise, so m + k v only grows the nodal moduli: by step
         # 5 they reach 1e82 and the predictor's right-hand side overflows
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1_PROJFREE",
                                                     k=0.5, theta=0.0),
                         field=EffectiveField(), t_end=20.0)
@@ -215,7 +216,7 @@ class TestRunSimulation:
         assert isinstance(res.error.cause, NoConvergenceError)
 
     def test_solver_failure_names_scheme_step_k_and_t(self, monkeypatch):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=0.25),
                         field=EffectiveField(), t_end=1.0)
         real_step = harness.step
@@ -278,7 +279,7 @@ class TestRunSimulation:
             "study_t_end_inf", "study_k_inf", "run_k_tiny", "sweep_k_tiny",
             "study_k_ref_tiny", "study_k_over_k_ref_inf"])
     def test_bad_run_length_rejected(self, start):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         with pytest.raises(ConfigError):
             start(asm, init_state(asm.mesh, "uniform"))
 
@@ -287,7 +288,7 @@ class TestRunSimulation:
     def test_study_k_checked_before_cast(self, k):
         # float(k) ran first: "1e-3" was a step size, "x" raised ValueError
         # and None TypeError
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         with pytest.raises(ConfigError, match="k must be a finite positive"):
             run_convergence_study(asm, EffectiveField(), ["PC2"], [k], 1e-3,
                                   1e-2, init_state(asm.mesh, "uniform"))
@@ -312,12 +313,19 @@ class TestRunSimulation:
         (lambda asm, m0: run_convergence_study(
             asm, EffectiveField(), ["PC2"], [], 1e-3, 1e-2, m0),
          "needs a scheme and a k"),
+        # an empty sweep grid returned [] without an error
+        (lambda asm, m0: run_stability_sweep(
+            asm, EffectiveField(), "PC2", [], [1e-3], m0, t_cap=1e-2),
+         "needs a theta and a k"),
+        (lambda asm, m0: run_stability_sweep(
+            asm, EffectiveField(), "PC2", [0.5], [], m0, t_cap=1e-2),
+         "needs a theta and a k"),
     ], ids=["study_unknown_second_scheme", "study_t_end_not_multiple_of_k",
             "sweep_second_theta_above_1", "sweep_second_k_0",
-            "study_no_scheme", "study_no_k"])
+            "study_no_scheme", "study_no_k", "sweep_no_theta", "sweep_no_k"])
     def test_study_and_sweep_check_every_run_before_the_first(
             self, start, match, monkeypatch):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         calls = []
         inner = harness.run_simulation
 
@@ -331,9 +339,47 @@ class TestRunSimulation:
         assert calls == []
 
 
+
+class TestInputTypes:
+    @pytest.mark.parametrize("make", [
+        lambda: IntegratorConfig(scheme="PC2", k=True),
+        lambda: run_config(stride=True),
+        lambda: build_cube_mesh(True, 1.0),
+        lambda: init_state(build_cube_mesh(1, 1.0), "random", seed=True),
+        lambda: EffectiveField(ell_ex=True),
+        lambda: run_convergence_study(
+            cube_asm(1), EffectiveField(), ["PC2"], [0.5], 0.5, True,
+            init_state(build_cube_mesh(1, 1.0), "uniform")),
+    ], ids=["integrator_k", "run_stride", "cube_mesh_n", "init_seed",
+            "ell_ex", "study_t_end"])
+    def test_bool_is_not_a_number(self, make):
+        # each ran as 1 or 1.0; np.True_ was already rejected
+        with pytest.raises(LlgpcError, match="got True"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: Mesh([["x", "0", "0"]] * 4, np.array([[0, 1, 2, 3]])),
+        lambda: build_cube_mesh(1, 1.0, center="x"),
+        lambda: run_simulation(cube_asm(1), run_config(), "x"),
+        lambda: EffectiveField(applied="x"),
+        lambda: EffectiveField(applied=lambda t: "x").f_at(0.0),
+        lambda: Uniaxial(1.0, "x"),
+    ], ids=["mesh_vertices", "cube_mesh_center", "m0", "applied",
+            "applied_callable", "anisotropy_axis"])
+    def test_non_numeric_array_rejected(self, make):
+        # numpy's bare ValueError of the float64 cast leaked out
+        with pytest.raises(InvalidParameterError, match="must be real numbers"):
+            make()
+
+    def test_uniaxial_must_be_a_uniaxial(self):
+        # an AttributeError on .c came out
+        with pytest.raises(InvalidParameterError, match="must be a Uniaxial"):
+            EffectiveField(uniaxial=(1.0, E3))
+
+
 class TestCsvOutput:
     def test_trace_csv_header_and_determinism(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
                         field=EffectiveField(applied=np.array([0, 1.0, 0])),
                         t_end=3e-3)
@@ -351,7 +397,7 @@ class TestCsvOutput:
 
     def test_sweep_csv_shape(self):
         cells = run_stability_sweep(
-            make_cube_assemblies(1), EffectiveField(), "PC2", [0.5],
+            cube_asm(1), EffectiveField(), "PC2", [0.5],
             [1e-3], np.tile([1.0, 0, 0], (8, 1)), t_cap=1e-2)
         text = sweep_to_csv(cells)
         lines = text.strip().split("\n")
@@ -359,7 +405,7 @@ class TestCsvOutput:
         assert len(lines) == 2
 
     def test_numpy_scalars_written_as_floats(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         m0 = init_state(asm.mesh, "random", seed=9)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC2",
                                                     k=np.float64(0.25)),
@@ -382,7 +428,7 @@ class TestCsvOutput:
 
 class TestConvergence:
     def test_reference_scheme_at_k_ref_gives_zero_error(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         fld = EffectiveField(applied=np.array([0.0, 1.0, 0.0]))
         m0 = init_state(asm.mesh, "random", seed=1)
         results = run_convergence_study(asm, fld, ["PC2"], [1e-3], 1e-3,
@@ -390,13 +436,13 @@ class TestConvergence:
         assert results[0].errors[0] <= 1e-13
 
     def test_non_commensurate_k_rejected(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         with pytest.raises(ConfigError):
             run_convergence_study(asm, EffectiveField(), ["PC2"], [1e-3],
                                   3e-4, 1e-2, init_state(asm.mesh, "uniform"))
 
     def test_orders_on_small_problem(self):
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         fld = EffectiveField(uniaxial=Uniaxial(1.0, E3),
                              applied=np.array([-2.0, -0.5, 0.0]))
         m0 = init_state(asm.mesh, "uniform")
@@ -411,7 +457,7 @@ class TestConvergence:
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_pc1_at_half_theta_still_first_order(self):
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         fld = EffectiveField(applied=np.array([0.0, 1.0, 0.0]))
         m0 = init_state(asm.mesh, "random", seed=4)
         results = run_convergence_study(asm, fld, ["PC1"],
@@ -423,7 +469,7 @@ class TestConvergence:
         # criterion 1's field and schemes on a small cube; the oracle steps
         # llg.step itself and keeps a copy of every state, so a state that
         # a later step updated in place would show here
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         fld = EffectiveField(uniaxial=Uniaxial(1.0, E3),
                              applied=np.array([-2.0, -0.5, 0.0]))
         m0 = init_state(asm.mesh, "uniform")
@@ -458,7 +504,7 @@ class TestConvergence:
     def test_study_holds_only_reference_node_states(self):
         # the k = k_ref run has as many time nodes as the reference, so a
         # study that kept its runs' states would hold twice these fields
-        asm = make_cube_assemblies(4)
+        asm = cube_asm(4)
         m0 = init_state(asm.mesh, "random", seed=1)
         k_ref, t_end = 1e-3, 0.1
         node_bytes = (round(t_end / k_ref) + 1) * m0.nbytes
@@ -478,7 +524,7 @@ class TestConvergence:
         assert estimated_order(ks, errs) == pytest.approx(2.0, abs=1e-12)
 
     def test_csv_format(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         res = run_convergence_study(
             asm, EffectiveField(applied=np.array([0, 1.0, 0])), ["PC2"],
             [4e-3, 2e-3, 1e-3], 5e-4, 2e-2, init_state(asm.mesh, "uniform"))
@@ -490,7 +536,7 @@ class TestConvergence:
 
 class TestStabilitySweep:
     def test_uniform_state_all_stable(self):
-        asm = make_cube_assemblies(2)
+        asm = cube_asm(2)
         cells = run_stability_sweep(asm, EffectiveField(), "PC2",
                                     [0.0, 0.5, 1.0], [1e-3, 4e-3],
                                     init_state(asm.mesh, "uniform"),
@@ -498,7 +544,7 @@ class TestStabilitySweep:
         assert all(c.stable for c in cells)
 
     def test_grid_order_deterministic(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         m0 = init_state(asm.mesh, "uniform")
         cells = run_stability_sweep(asm, EffectiveField(), "PC2",
                                     [0.0, 1.0], [1e-3, 2e-3], m0, t_cap=1e-2)
@@ -506,7 +552,7 @@ class TestStabilitySweep:
             (0.0, 1e-3), (0.0, 2e-3), (1.0, 1e-3), (1.0, 2e-3)]
 
     def test_cell_status_of_every_run_outcome(self, monkeypatch):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         m0 = init_state(asm.mesh, "uniform")
         # k -> (run status, steps), None for a run that raises
         outcomes = {1e-3: ("relaxed", 3), 2e-3: ("completed", 5),
@@ -531,7 +577,7 @@ class TestStabilitySweep:
                                 m0, t_cap=1e-2)
 
     def test_non_unit_m0_raises(self):
-        asm = make_cube_assemblies(1)
+        asm = cube_asm(1)
         m0 = 2.0 * init_state(asm.mesh, "uniform")
         with pytest.raises(InvalidParameterError, match="unit field"):
             run_stability_sweep(asm, EffectiveField(), "PC2", [0.5],

@@ -15,8 +15,10 @@ acts.
 import numpy as np
 import pytest
 
-from llgpc.harness import RunConfig, make_cube_assemblies, run_simulation
+from llgpc.harness import RunConfig, run_simulation
 from llgpc.llg import EffectiveField, IntegratorConfig, Uniaxial
+
+from conftest import cube_asm
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -58,7 +60,7 @@ def reference():
 
 @pytest.fixture(scope="module")
 def cube2():
-    return make_cube_assemblies(2)
+    return cube_asm(2)
 
 
 @pytest.mark.parametrize("scheme,order", [

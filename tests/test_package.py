@@ -42,15 +42,15 @@ def test_public_surface_is_pinned():
         "Uniaxial", "apply_Ph", "build_assemblies", "build_cube_mesh",
         "check_angle_condition", "corrector_pc2", "corrector_project",
         "discrete_laplacian", "energy", "grad_sq", "init_state", "inner_l2",
-        "load_mesh", "make_cube_assemblies", "norms", "predictor_full",
-        "predictor_fully_implicit", "run_convergence_study", "run_simulation",
-        "run_stability_sweep", "save_mesh", "step",
+        "load_mesh", "norms", "predictor_full", "predictor_fully_implicit",
+        "run_convergence_study", "run_simulation", "run_stability_sweep",
+        "save_mesh", "step",
     ]
 
 
 @pytest.mark.parametrize("make", [
     lambda: llgpc.build_cube_mesh(1, 1.0),
-    lambda: llgpc.make_cube_assemblies(1),
+    lambda: llgpc.build_assemblies(llgpc.build_cube_mesh(1, 1.0)),
     lambda: csr_from_coo([0, 1], [1, 0], [1.0, 2.0], (2, 2)),
     lambda: llgpc.Uniaxial(1.0, np.array([0.0, 0.0, 1.0])),
     lambda: llgpc.EffectiveField(applied=np.ones(3)),
