@@ -4,8 +4,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (ConfigError, GeometryError, InvalidParameterError,
                      LlgpcError, ParseError)
 from .fem import build_assemblies, check_angle_condition
@@ -112,10 +110,9 @@ def _mesh_from_args(args):
 def _make_field(args) -> EffectiveField:
     uni = None
     if args.pi_uniaxial is not None:
-        c, ax, ay, az = args.pi_uniaxial
-        uni = Uniaxial(c=c, axis=np.array([ax, ay, az]))
-    applied = None if args.f is None else np.asarray(args.f, dtype=np.float64)
-    return EffectiveField(ell_ex=args.ellex, uniaxial=uni, applied=applied)
+        c, *axis = args.pi_uniaxial
+        uni = Uniaxial(c=c, axis=axis)
+    return EffectiveField(ell_ex=args.ellex, uniaxial=uni, applied=args.f)
 
 
 def _make_integrator(args) -> IntegratorConfig:

@@ -36,15 +36,28 @@ def check_int(x, what: str, low: int,
         raise error(f"{what} must be an integer >= {low}, got {x!r}")
 
 
-def real_array(x, what: str) -> np.ndarray:
-    """x as a float64 array; InvalidParameterError if the cast fails or x
-    is complex, whose imaginary part the cast would drop with a warning."""
-    if np.iscomplexobj(x):
-        raise InvalidParameterError(f"{what} must be real, not complex")
+def real_array(x, what: str, shape=None) -> np.ndarray:
+    """x as a float64 array, of exactly `shape` if one is given.
+
+    The one rule for every array that enters the package: only integer
+    and float input passes.  Complex (whose imaginary part a cast would
+    drop), bool, string, object (a None entry, say) and ragged input raise
+    InvalidParameterError, as does a shape other than `shape`.
+    """
     try:
-        return np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        a = np.asarray(x)
+    except (TypeError, ValueError) as exc:  # ragged nesting
         raise InvalidParameterError(f"{what} must be real numbers") from exc
+    if a.dtype.kind == "c":
+        raise InvalidParameterError(f"{what} must be real, not complex")
+    if a.dtype.kind not in "iuf":
+        raise InvalidParameterError(
+            f"{what} must be real numbers, not {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if shape is not None and a.shape != shape:
+        raise InvalidParameterError(
+            f"{what} must have shape {shape}, got {a.shape}")
+    return a
 
 
 class ConfigError(LlgpcError, ValueError):

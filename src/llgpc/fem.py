@@ -11,8 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (InvalidParameterError, ProjectionDegenerateError,
-                     real_array)
+from .errors import ProjectionDegenerateError, real_array
 from .linalg import CsrMatrix, coo_pattern, spmv
 from .mesh import Mesh, edge_det, tet_blocks
 
@@ -131,24 +130,16 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     return Assemblies(mesh=mesh, stiffness=stiffness, mass=mass, beta=beta)
 
 
-def _check_match(beta, *fields, scalar=False):
-    n = beta.shape[0]
-    for f in fields:
-        if f.shape != (n, 3) and not (scalar and f.shape == (n,)):
-            raise InvalidParameterError(
-                f"field shape {f.shape} does not match mesh with {n} vertices"
-            )
-
-
 def inner_l2(mass: CsrMatrix, u: np.ndarray, w: np.ndarray) -> float:
-    """Consistent L2 inner product of two real P1 fields."""
-    return float(np.sum(spmv(mass, u) * real_array(w, "w")))
+    """Consistent L2 inner product of two real P1 fields of one shape."""
+    mu = spmv(mass, u)
+    return float(np.sum(mu * real_array(w, "w", mu.shape)))
 
 
 def discrete_laplacian(stiffness: CsrMatrix, beta: np.ndarray,
                        w: np.ndarray) -> np.ndarray:
     """(Lap_h w)(z) = -beta_z^{-1} (A w)(z) componentwise."""
-    _check_match(beta, w)
+    w = real_array(w, "w", (beta.shape[0], 3))
     return -spmv(stiffness, w) / beta[:, None]
 
 
@@ -156,10 +147,10 @@ def apply_Ph(mass: CsrMatrix, beta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Lumped representative of a P1 field: (P_h w)(z) = beta_z^{-1} (M w)(z).
 
     Satisfies <P_h w, w_h>_h = <w, w_h>_L2 for every discrete w_h.  The
-    field is (N, 3) or scalar (N,).
+    field is (N, 3) or scalar (N,), as spmv checks.
     """
-    _check_match(beta, w, scalar=True)
-    return spmv(mass, w) / (beta if w.ndim == 1 else beta[:, None])
+    y = spmv(mass, w)
+    return y / (beta if y.ndim == 1 else beta[:, None])
 
 
 def nodal_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:

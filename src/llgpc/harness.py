@@ -168,10 +168,7 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
     """
     k = cfg.integrator.k
     t0 = time.perf_counter()
-    state = SimState(ell=0, m_curr=real_array(m0, "m0").copy())
-    if state.m_curr.shape != (asm.n, 3):
-        raise InvalidParameterError(f"m0 must have shape ({asm.n}, 3), "
-                                    f"got {state.m_curr.shape}")
+    state = SimState(ell=0, m_curr=real_array(m0, "m0", (asm.n, 3)).copy())
     mods = np.linalg.norm(state.m_curr, axis=1)
     z = int(np.argmax(np.abs(mods - 1.0)))  # worst node; the first NaN if any
     if not abs(mods[z] - 1.0) <= UNIT_TOL:  # also true for NaN and inf

@@ -42,13 +42,12 @@ class CsrMatrix:
         for name in ("indptr", "indices"):  # a cast would truncate
             if not np.issubdtype(getattr(self, name).dtype, np.integer):
                 raise InvalidParameterError(f"{name} must be integers")
-        object.__setattr__(self, "data", real_array(self.data, "data"))
+        object.__setattr__(self, "data", real_array(
+            self.data, "data", self.indices.shape))
         if self.indptr.shape[0] != self.n_rows + 1:
             raise InvalidParameterError("indptr length must be n_rows + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.data.shape[0]:
             raise InvalidParameterError("indptr must start at 0 and end at nnz")
-        if self.indices.shape != self.data.shape:
-            raise InvalidParameterError("indices and data must have nnz entries")
         if np.any(np.diff(self.indptr) < 0):
             raise InvalidParameterError("row offsets must be monotone")
         rows = self.rows
@@ -94,8 +93,8 @@ class CsrMatrix:
 def coo_pattern(key, shape):
     """CSR pattern of COO keys row * n_cols + col: (indptr, indices, entry).
 
-    Key p adds to stored entry entry[p]; `np.bincount(entry, weights=vals,
-    minlength=nnz)` then sums each entry's values from 0.0 in key order.
+    Key p belongs to stored entry entry[p]; callers sum per entry with
+    np.add.at, from 0.0 in key order, or place the values of unique keys.
     One stable sort of the int64 keys orders the pattern; the caller
     checks the indices, as an out-of-range column would alias a
     neighbouring row.
@@ -144,13 +143,10 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
       remaining products: 0.0 + s = s, as s is never -0.0.
     """
     x = real_array(x, "x")
-    if not (x.ndim == 1 or (x.ndim == 2 and x.shape[1] == 3)):
-        raise InvalidParameterError("x must be a vector or an (n, 3) field")
-    if x.shape[0] != a.n_cols:
+    if x.shape not in ((a.n_cols,), (a.n_cols, 3)):
         raise InvalidParameterError(
-            f"dimension mismatch: matrix is {a.n_rows}x{a.n_cols}, "
-            f"vector has length {x.shape[0]}"
-        )
+            f"x must have shape ({a.n_cols},) or ({a.n_cols}, 3) for a "
+            f"{a.n_rows}x{a.n_cols} matrix, got {x.shape}")
     xs = np.zeros((1 if x.ndim == 1 else 3, a.n_cols + 1))
     xs[:, :-1] = x.T
     ell_cols, ell_vals = a._ell
@@ -215,7 +211,7 @@ def gmres(apply, b, rtol=1e-12):
     or a residual is not finite, or the triangle is singular.
     """
     check_real(rtol, "rtol", positive=True)
-    b = np.asarray(b, dtype=np.float64)
+    b = real_array(b, "b")
     n = b.shape[0]
     maxit = max(10 * n, 100)
     bnorm = _norm(b)

@@ -58,10 +58,9 @@ class Uniaxial:
 
 
 def _field_vector(f, what: str) -> np.ndarray:
-    f = real_array(f, what)
-    if f.shape != (3,) or not np.all(np.isfinite(f)):
-        raise InvalidParameterError(
-            f"{what} must be a finite 3-vector, got {f.tolist()}")
+    f = real_array(f, what, (3,))
+    if not np.all(np.isfinite(f)):
+        raise InvalidParameterError(f"{what} must be finite, got {f.tolist()}")
     return f
 
 

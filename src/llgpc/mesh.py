@@ -18,8 +18,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import (GeometryError, InvalidParameterError, ParseError,
-                     check_int, check_real, real_array)
+from .errors import (GeometryError, ParseError, check_int, check_real,
+                     real_array)
 
 TET_BLOCK = 4096  # a (3, 4, 4096) float64 corner block is 384 KiB
 
@@ -45,12 +45,13 @@ def edge_det(x, cof):
 class Mesh:
     """Tetrahedral triangulation: vertex coordinates plus 4-index cells.
 
-    Construction rejects complex coordinates (InvalidParameterError),
-    non-finite coordinates, wrong shapes and a vertex that no tet uses
-    (GeometryError: its lumped mass would be 0), non-integer or
-    out-of-range indices (ParseError) and any tet whose signed volume
-    e1.(e2 x e3)/6, e_k = x_k - x_0, is not positive (GeometryError).
-    `volumes` and `h_max` come from that one check.
+    Construction rejects coordinates that are not real numbers
+    (errors.real_array: InvalidParameterError), non-finite coordinates,
+    wrong shapes and a vertex that no tet uses (GeometryError: its lumped
+    mass would be 0), non-integer or out-of-range indices (ParseError)
+    and any tet whose signed volume e1.(e2 x e3)/6, e_k = x_k - x_0, is
+    not positive (GeometryError).  `volumes` and `h_max` come from that
+    one check.
     """
 
     vertices: np.ndarray  # (N, 3) float64
@@ -133,9 +134,7 @@ def build_cube_mesh(n: int, edge_length: float, center=(0.0, 0.0, 0.0)) -> Mesh:
     """
     check_int(n, "n", 1)
     check_real(edge_length, "edge_length", positive=True)
-    center = real_array(center, "center")
-    if center.shape != (3,):
-        raise InvalidParameterError("center must be a 3-vector")
+    center = real_array(center, "center", (3,))
 
     grid = np.arange(n + 1, dtype=np.float64) * (edge_length / n)
     # vertex (i, j, k) -> index i + (n+1)*(j + (n+1)*k)

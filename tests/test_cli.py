@@ -29,6 +29,24 @@ def test_mesh_check_angle_reports_unstored_zero(capsys):
     assert "(worst off-diagonal 0.000e+00)" in capsys.readouterr().out
 
 
+def test_mesh_check_angle_lists_offending_entries(capsys, tmp_path):
+    # one flat tet: its apex sits low over the base, so three dihedral
+    # angles are obtuse and six off-diagonal entries positive
+    path = tmp_path / "obtuse.txt"
+    path.write_text("tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0.3 0.3 0.1\n"
+                    "0 1 2 3\n")
+    assert main(["mesh", "--mesh-file", str(path), "--check-angle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "angle_condition: FAIL (worst off-diagonal 1.833e-01)" in lines
+    assert [line for line in lines if "positive entry" in line] == [
+        "  positive entry at (0, 1): 1.833333e-01",
+        "  positive entry at (0, 2): 1.833333e-01",
+        "  positive entry at (1, 0): 1.833333e-01",
+        "  positive entry at (2, 0): 1.833333e-01",
+        "  positive entry at (1, 2): 1.500000e-01",
+        "  positive entry at (2, 1): 1.500000e-01"]
+
+
 def test_mesh_from_file(capsys, tmp_path):
     path = tmp_path / "m.txt"
     main(["mesh", "--mesh-n", "1", "--out", str(path)])
@@ -183,6 +201,19 @@ def test_run_non_finite_state_fails_at_step_one(f, t_end, tmp_path, capsys):
     assert code == 3
     assert "step 1 " in capsys.readouterr().err
     assert len(out.read_text().strip().split("\n")) == 1 + 1  # ell = 0 only
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_converge_solver_failure_exits_3(capsys):
+    # the reference run's first step overflows, and the study raises its
+    # SolverFailure, which is no configuration error
+    code = main(["converge", "--mesh-n", "2", "--schemes", "PC2",
+                 "--ks", "2e-2", "--k-ref", "1e-2", "--T", "2e-2",
+                 "--f", "1e308", "0", "0"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "solver error: PC2 step 1 (k=0.01, from t=0.0) failed:")
 
 
 def test_run_fail_on_unstable(tmp_path, capsys):

@@ -10,6 +10,7 @@ from llgpc.errors import (ConfigError, InvalidParameterError, LlgpcError,
 from llgpc.harness import (RunConfig, convergence_to_csv, estimated_order,
                            init_state, run_convergence_study, run_simulation,
                            run_stability_sweep, sweep_to_csv, trace_to_csv)
+from llgpc.linalg import spmv
 from llgpc.llg import EffectiveField, IntegratorConfig, Uniaxial
 from llgpc.mesh import Mesh, build_cube_mesh
 
@@ -240,6 +241,23 @@ class TestRunSimulation:
                                   0.25, 1.0, init_state(asm.mesh, "uniform"))
         assert (exc.value.scheme, exc.value.step) == ("PC2", 3)
 
+    def test_study_raises_a_failed_run_s_solver_failure(self, monkeypatch):
+        # the reference run at k_ref succeeds; the study's run at k fails
+        asm = cube_asm(1)
+        real_step = harness.step
+
+        def failing_step(state, cfg, *args):
+            if cfg.k == 0.5 and state.ell == 1:
+                raise NoConvergenceError("GMRES did not converge")
+            return real_step(state, cfg, *args)
+
+        monkeypatch.setattr(harness, "step", failing_step)
+        with pytest.raises(SolverFailure) as exc:
+            run_convergence_study(asm, EffectiveField(), ["PC1"], [0.5],
+                                  0.25, 1.0, init_state(asm.mesh, "uniform"))
+        assert (exc.value.scheme, exc.value.step, exc.value.k) == ("PC1", 2,
+                                                                   0.5)
+
     def test_t_end_must_be_multiple_of_k(self):
         with pytest.raises(ConfigError):
             RunConfig(integrator=IntegratorConfig(scheme="PC1", k=3e-3),
@@ -364,12 +382,62 @@ class TestInputTypes:
         lambda: EffectiveField(applied="x"),
         lambda: EffectiveField(applied=lambda t: "x").f_at(0.0),
         lambda: Uniaxial(1.0, "x"),
+        # numeric strings: the float64 cast read them as numbers
+        lambda: Mesh([["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"],
+                      ["0", "0", "1"]], np.array([[0, 1, 2, 3]])),
+        lambda: EffectiveField(applied=["1", "0", "0"]),
+        lambda: Uniaxial(1.0, ["0", "0", "1"]),
+        # numpy's UFuncTypeError of the product came out
+        lambda: fem.grad_sq(cube_asm(1).stiffness, np.full((8, 3), "1")),
+        # a None entry gave NaN rows, a bool vector ran on 0 and 1
+        lambda: spmv(cube_asm(1).mass, [None] + [1.0] * 7),
+        lambda: spmv(cube_asm(1).mass, np.ones(8, dtype=bool)),
+        # a ragged list, and a list field, raised AttributeError
+        lambda: fem.apply_Ph(cube_asm(1).mass, cube_asm(1).beta,
+                             [[1.0, 0.0, 0.0]] * 7 + [[1.0]]),
+        lambda: fem.discrete_laplacian(cube_asm(1).stiffness,
+                                       cube_asm(1).beta, [["1"] * 3] * 8),
     ], ids=["mesh_vertices", "cube_mesh_center", "m0", "applied",
-            "applied_callable", "anisotropy_axis"])
+            "applied_callable", "anisotropy_axis", "mesh_numeric_strings",
+            "applied_numeric_strings", "axis_numeric_strings",
+            "grad_sq_strings", "spmv_none_entry", "spmv_bool",
+            "apply_Ph_ragged_list", "laplacian_string_list"])
     def test_non_numeric_array_rejected(self, make):
         # numpy's bare ValueError of the float64 cast leaked out
         with pytest.raises(InvalidParameterError, match="must be real numbers"):
             make()
+
+    @pytest.mark.parametrize("make", [
+        # inner_l2 broadcast w to 3.0, or raised numpy's bare ValueError
+        lambda: fem.inner_l2(cube_asm(1).mass, np.ones((8, 3)), np.ones(3)),
+        lambda: fem.inner_l2(cube_asm(1).mass, np.ones(8), np.ones((8, 3))),
+        # list fields raised AttributeError
+        lambda: fem.discrete_laplacian(cube_asm(1).stiffness,
+                                       cube_asm(1).beta, [[1.0, 0, 0]] * 7),
+        lambda: fem.apply_Ph(cube_asm(1).mass, cube_asm(1).beta, [1.0] * 9),
+        lambda: fem.discrete_laplacian(cube_asm(1).stiffness,
+                                       cube_asm(1).beta, np.ones(8)),
+        lambda: run_simulation(cube_asm(1), run_config(), np.ones((8, 2))),
+        lambda: build_cube_mesh(1, 1.0, center=(0.0, 0.0)),
+        lambda: EffectiveField(applied=np.ones((1, 3))),
+        lambda: Uniaxial(1.0, [[0.0, 0.0, 1.0]]),
+    ], ids=["inner_l2_broadcast", "inner_l2_scalar_and_field",
+            "laplacian_list", "apply_Ph_list", "laplacian_scalar", "m0",
+            "cube_mesh_center", "applied", "anisotropy_axis"])
+    def test_array_of_wrong_shape_rejected(self, make):
+        # every entry point hands errors.real_array the exact shape it needs
+        with pytest.raises(InvalidParameterError, match="must have shape"):
+            make()
+
+    def test_list_field_is_the_array_field(self):
+        # a nested list of numbers is valid input: it is converted once
+        asm = cube_asm(1)
+        w = init_state(asm.mesh, "random", seed=2)
+        assert np.array_equal(
+            fem.discrete_laplacian(asm.stiffness, asm.beta, w.tolist()),
+            fem.discrete_laplacian(asm.stiffness, asm.beta, w))
+        assert np.array_equal(fem.apply_Ph(asm.mass, asm.beta, w.tolist()),
+                              fem.apply_Ph(asm.mass, asm.beta, w))
 
     def test_uniaxial_must_be_a_uniaxial(self):
         # an AttributeError on .c came out

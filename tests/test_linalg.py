@@ -74,6 +74,17 @@ class TestCsrMatrix:
             CsrMatrix(indptr=np.array([0, 1]), indices=np.array([0]),
                       data=np.array([1.0]), n_rows=2, n_cols=2)
 
+    @pytest.mark.parametrize("indptr, data, match", [
+        ([1, 2, 2, 4], np.ones(4), "indptr must start at 0 and end at nnz"),
+        ([0, 2, 2, 3], np.ones(4), "indptr must start at 0 and end at nnz"),
+        ([0, 2, 2, 4], np.ones(3), r"data must have shape \(4,\), got \(3,\)"),
+        ([0, 3, 2, 4], np.ones(4), "row offsets must be monotone"),
+    ], ids=["indptr_start", "indptr_end", "data_length", "indptr_decreases"])
+    def test_indptr_and_data_must_fit_indices(self, indptr, data, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            CsrMatrix(indptr=np.array(indptr), indices=np.array([0, 2, 0, 1]),
+                      data=data, n_rows=3, n_cols=3)
+
     @pytest.mark.parametrize("indices", [
         [1, 0, 0, 2], [0, 0, 0, 2], [0, 1, -1, 2], [0, 1, 0, 3],
     ], ids=["unsorted", "duplicate", "negative", "out_of_range"])

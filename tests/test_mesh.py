@@ -220,3 +220,15 @@ class TestTextFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             load_mesh(text)
+
+    @pytest.mark.parametrize("line, match", [
+        ("0 0", "line 2: expected 3 coordinates"),
+        ("0 1 2", "line 6: expected 4 vertex indices"),
+        ("0 1 2 x", "line 6: bad index"),
+    ], ids=["two_coordinates", "three_indices", "non_integer_index"])
+    def test_parse_error_names_the_line(self, line, match):
+        lines = ["tetmesh 4 1", "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+                 "0 1 2 3"]
+        lines[1 if "coordinates" in match else 5] = line
+        with pytest.raises(ParseError, match=match):
+            load_mesh("\n".join(lines) + "\n")
