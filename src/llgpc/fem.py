@@ -186,27 +186,17 @@ def check_angle_condition(stiffness: CsrMatrix) -> AngleConditionReport:
 
     worst_offdiag is the largest off-diagonal entry, an unstored one
     counting as 0.0."""
-    rows = stiffness.rows
-    off = rows != stiffness.indices
-    rows = rows[off]
-    cols = stiffness.indices[off]
-    vals = stiffness.data[off]
-    full = 0 < vals.size == stiffness.n_rows * (stiffness.n_cols - 1)
-    bad = np.flatnonzero(vals > ANGLE_SLACK)
+    rows, cols, vals = stiffness.entries()
+    off = np.flatnonzero(rows != cols)  # stored positions, in order
+    full = 0 < off.size == stiffness.n_rows * (stiffness.n_cols - 1)
+    bad = off[vals[off] > ANGLE_SLACK]
     # stable sort keeps stored order among equal values
     worst_first = bad[np.argsort(-vals[bad], kind="stable")]
     return AngleConditionReport(
         passed=bad.size == 0,
-        worst_offdiag=float(vals.max(initial=-np.inf if full else 0.0)),
+        worst_offdiag=float(vals[off].max(initial=-np.inf if full else 0.0)),
         offending=tuple((int(rows[p]), int(cols[p]), float(vals[p]))
                         for p in worst_first[:10]))
-
-
-@dataclass(frozen=True)
-class FieldNorms:
-    l2: float
-    grad_sq: float
-    h1: float
 
 
 def grad_sq(stiffness: CsrMatrix, w: np.ndarray) -> float:
@@ -214,8 +204,7 @@ def grad_sq(stiffness: CsrMatrix, w: np.ndarray) -> float:
     return float(np.sum(spmv(stiffness, w) * w))
 
 
-def norms(mass: CsrMatrix, stiffness: CsrMatrix, w: np.ndarray) -> FieldNorms:
+def h1_norm(mass: CsrMatrix, stiffness: CsrMatrix, w: np.ndarray) -> float:
+    """||w||_H1 = sqrt(||w||_L2^2 + ||grad w||^2), each square clamped at 0."""
     l2sq = max(inner_l2(mass, w, w), 0.0)
-    gsq = max(grad_sq(stiffness, w), 0.0)
-    return FieldNorms(l2=float(np.sqrt(l2sq)), grad_sq=gsq,
-                      h1=float(np.sqrt(l2sq + gsq)))
+    return float(np.sqrt(l2sq + max(grad_sq(stiffness, w), 0.0)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidParameterError, LlgpcError,
                      SolverFailure, check_int, check_real, real_array)
-from .fem import UNIT_TOL, Assemblies, grad_sq, norms
+from .fem import UNIT_TOL, Assemblies, grad_sq, h1_norm
 from .llg import (EffectiveField, IntegratorConfig, SimState, energy, step)
 from .mesh import Mesh
 
@@ -291,9 +291,9 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
         errors = []
         for cfg, ratio in row:
             h1 = []  # one H1 error per time node, in step order
-            res = run_simulation(asm, cfg, m0, lambda state: h1.append(norms(
-                asm.mass, asm.stiffness,
-                state.m_curr - ref_states[state.ell * ratio]).h1))
+            res = run_simulation(asm, cfg, m0, lambda state: h1.append(
+                h1_norm(asm.mass, asm.stiffness,
+                        state.m_curr - ref_states[state.ell * ratio])))
             if res.status == "failed":
                 raise res.error
             errors.append(max(h1))

@@ -6,7 +6,7 @@ without ever materializing a matrix.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -19,41 +19,40 @@ ROW_BLOCK = 4096  # a (3, 15, 4096) float64 gather is 1.4 MiB, in L2
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
-    """Compressed-row scalar matrix.
+    """Compressed-row scalar matrix, kept as `indptr` and the padded-row
+    plan `spmv` runs on; `entries()` reads the stored entries back.
 
     Column indices are strictly increasing within each row and lie in
     [0, n_cols); row offsets are monotone; both are enforced at
-    construction, as are integer index arrays and real data.  Construction
-    also builds the padded-row plan `spmv` runs on: slot-major
-    (n_blocks, W, B) column and value arrays that cut R = max(n_rows, 2)
-    rows into n_blocks = ceil(R / ROW_BLOCK) blocks of B = ceil(R / n_blocks)
-    >= 2 rows, the last one padded with empty rows.
+    construction, as are integer index arrays and real data.  The plan
+    is slot-major (n_blocks, W, B) column and value arrays that cut
+    R = max(n_rows, 2) rows into n_blocks = ceil(R / ROW_BLOCK) blocks of
+    B = ceil(R / n_blocks) >= 2 rows, the last padded with empty rows,
+    plus the entries of rows longer than W.
     """
 
     indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    indices: InitVar[np.ndarray]
+    data: InitVar[np.ndarray]
     n_rows: int
     n_cols: int
     _ell: tuple = field(init=False, repr=False)
     _overflow: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        for name in ("indptr", "indices"):  # a cast would truncate
-            if not np.issubdtype(getattr(self, name).dtype, np.integer):
+    def __post_init__(self, indices, data):
+        for name, a in (("indptr", self.indptr), ("indices", indices)):
+            if not np.issubdtype(a.dtype, np.integer):  # a cast truncates
                 raise InvalidParameterError(f"{name} must be integers")
-        object.__setattr__(self, "data", real_array(
-            self.data, "data", self.indices.shape))
+        data = real_array(data, "data", indices.shape)
         if self.indptr.shape[0] != self.n_rows + 1:
             raise InvalidParameterError("indptr length must be n_rows + 1")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.data.shape[0]:
+        if self.indptr[0] != 0 or self.indptr[-1] != data.shape[0]:
             raise InvalidParameterError("indptr must start at 0 and end at nnz")
         if np.any(np.diff(self.indptr) < 0):
             raise InvalidParameterError("row offsets must be monotone")
-        rows = self.rows
-        cols = self.indices
-        bad = (cols < 0) | (cols >= self.n_cols)
-        bad[1:] |= (rows[1:] == rows[:-1]) & (np.diff(cols) <= 0)
+        rows, slot = self._row_slots()
+        bad = (indices < 0) | (indices >= self.n_cols)
+        bad[1:] |= (rows[1:] == rows[:-1]) & (np.diff(indices) <= 0)
         if np.any(bad):
             raise InvalidParameterError(
                 f"bad column indices in row {rows[np.argmax(bad)]}")
@@ -64,12 +63,12 @@ class CsrMatrix:
                     2 * self.nnz // (n_blocks * size))
         # flat index of (block, slot, row in block); overflow entries land
         # in a spare slot row, cut off below
-        slot = np.minimum(np.arange(self.nnz) - self.indptr[rows], width)
+        np.minimum(slot, width, out=slot)
         flat = (rows // size * width + slot) * size + rows
         ell_cols = np.full((n_blocks, width + 1, size), self.n_cols)
         ell_vals = np.zeros(ell_cols.shape)
-        ell_cols.reshape(-1)[flat] = cols
-        ell_vals.reshape(-1)[flat] = self.data
+        ell_cols.reshape(-1)[flat] = indices
+        ell_vals.reshape(-1)[flat] = data
         over = np.flatnonzero(slot == width)
         long = np.flatnonzero(lengths > width)
         bins = np.concatenate([np.arange(long.size),
@@ -77,17 +76,29 @@ class CsrMatrix:
         object.__setattr__(self, "_ell", (ell_cols[:, :width],
                                           ell_vals[:, :width]))
         object.__setattr__(self, "_overflow",
-                           (long, bins, cols[over], self.data[over]))
+                           (long, bins, indices[over], data[over]))
 
-    @property
-    def rows(self) -> np.ndarray:
-        """Row index of every stored entry; computed, not stored, as no
-        product reads it."""
-        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+    def _row_slots(self):
+        """Row of every stored entry, and its place in that row."""
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        return rows, np.arange(self.nnz) - self.indptr[rows]
+
+    def entries(self) -> tuple:
+        """(rows, cols, vals) of the stored entries in stored order, read
+        from the plan: slot j of row r, then the row's overflow entries."""
+        _, width, size = self._ell[0].shape
+        rows, slot = self._row_slots()
+        in_plan = slot < width
+        flat = ((rows // size * width + slot) * size + rows % size)[in_plan]
+        cols, vals = (np.empty(self.nnz, p.dtype) for p in self._ell)
+        for out, p, over in zip((cols, vals), self._ell, self._overflow[2:]):
+            out[in_plan] = p.reshape(-1)[flat]
+            out[~in_plan] = over
+        return rows, cols, vals
 
     @property
     def nnz(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.indptr[-1])
 
 
 def coo_pattern(key, shape):
@@ -212,6 +223,8 @@ def gmres(apply, b, rtol=1e-12):
     """
     check_real(rtol, "rtol", positive=True)
     b = real_array(b, "b")
+    if b.ndim != 1:
+        raise InvalidParameterError(f"b must have shape (n,), got {b.shape}")
     n = b.shape[0]
     maxit = max(10 * n, 100)
     bnorm = _norm(b)

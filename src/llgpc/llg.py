@@ -287,7 +287,7 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
 
     Raises NonFiniteStateError, naming the first vertex, if the new state
     is not finite (an overflow in the corrector, say)."""
-    m = state.m_curr
+    m = real_array(state.m_curr, "m_curr", (asm.n, 3))
     t = state.ell * cfg.k
     if cfg.scheme == "PC2_IMEX" and state.ell == 0:
         # preprocessing step: one PC2 step supplies a second-order m^1
@@ -301,8 +301,9 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
         if scheme == "PC2_IMEX":
             if state.m_prev is None:
                 raise InvalidParameterError("PC2_IMEX needs m_prev for ell >= 1")
+            m_prev = real_array(state.m_prev, "m_prev", (asm.n, 3))
             # pi is linear: extrapolate its argument, not its values
-            w = (1.0 + cfg.theta) * m - cfg.theta * state.m_prev
+            w = (1.0 + cfg.theta) * m - cfg.theta * m_prev
             t_lower = t + cfg.theta * cfg.k
         v, iters = predictor_full(m, cfg, field_cfg, asm,
                                   lower_field(asm, field_cfg, w, t_lower))

@@ -83,7 +83,8 @@ def csr_from_coo(rows, cols, vals, shape):
 def dense(a):
     """The stored entries of a CsrMatrix as a dense array."""
     out = np.zeros((a.n_rows, a.n_cols))
-    out[a.rows, a.indices] = a.data
+    rows, cols, vals = a.entries()
+    out[rows, cols] = vals
     return out
 
 

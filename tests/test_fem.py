@@ -6,12 +6,13 @@ import pytest
 from llgpc.errors import InvalidParameterError, ProjectionDegenerateError
 from llgpc.fem import (PAIRS, _element_stiffness, _p1_gradients, apply_Ph,
                        build_assemblies, check_angle_condition,
-                       discrete_laplacian, grad_sq, inner_l2, nodal_cross,
-                       nodal_project_sphere, norms)
+                       discrete_laplacian, grad_sq, h1_norm, inner_l2,
+                       nodal_cross, nodal_project_sphere)
 from llgpc.linalg import spmv
 from llgpc.mesh import TET_BLOCK, Mesh, build_cube_mesh, edge_det, tet_blocks
 
-from conftest import dense, inner_h, norm_h, oriented_mesh, random_unit_field
+from conftest import (csr_from_coo, dense, inner_h, norm_h, oriented_mesh,
+                      random_unit_field)
 
 
 class TestLumpedMass:
@@ -123,9 +124,10 @@ class TestAssembly:
     def test_stiffness_pattern_within_mass_pattern(self):
         for mesh in (build_cube_mesh(2, 1.0), perturbed_cube3()):
             asm = build_assemblies(mesh)
-            a, m = asm.stiffness, asm.mass
-            mass_keys = m.rows * m.n_cols + m.indices
-            assert np.isin(a.rows * a.n_cols + a.indices, mass_keys).all()
+            a_rows, a_cols, _ = asm.stiffness.entries()
+            m_rows, m_cols, _ = asm.mass.entries()
+            n = asm.n
+            assert np.isin(a_rows * n + a_cols, m_rows * n + m_cols).all()
 
     @pytest.mark.parametrize("n, edge, nnz", [
         (8, 1.0, 4617), (8, 0.4, 4617), (8, 0.7, 4617), (8, 2.5, 4617),
@@ -136,7 +138,7 @@ class TestAssembly:
         # 7-point stencil at any edge; an inverted edge matrix left rounding
         # residue for 6665, 7319, 6665 and 981 entries at the non-unit edges
         stiffness = build_assemblies(build_cube_mesh(n, edge)).stiffness
-        assert not np.any(stiffness.data == 0.0)
+        assert not np.any(stiffness.entries()[2] == 0.0)
         assert stiffness.nnz == nnz
 
     @pytest.mark.parametrize("mesh", [build_cube_mesh(2, 1.0),
@@ -170,6 +172,19 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_kept_memory_n16(self):
+        # each matrix keeps its plan and indptr, not a second copy of its
+        # entries: 1.92 MiB kept, 3.44 MiB with CSR indices and data too
+        mesh = build_cube_mesh(16, 1.0)
+        tracemalloc.start()
+        try:
+            asm = build_assemblies(mesh)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert asm.stiffness.nnz > 0
+        assert kept < 2.5 * 2**20
 
     def test_cube_mesh_peak_memory_n16(self):
         tracemalloc.start()
@@ -398,7 +413,7 @@ class TestAngleCondition:
         assert not report.passed
         assert report.worst_offdiag > 0
         assert len(report.offending) >= 1
-        assert report.offending == _offending_by_scan(stiffness)
+        assert report.offending == _offending_by_scan(dense(stiffness))
 
     def test_report_worst_first_capped_at_ten(self):
         rng = np.random.Generator(np.random.Philox(9))
@@ -408,13 +423,30 @@ class TestAngleCondition:
         stiffness = build_assemblies(mesh).stiffness
         report = check_angle_condition(stiffness)
         assert len(report.offending) == 10
-        assert report.offending == _offending_by_scan(stiffness)
+        assert report.offending == _offending_by_scan(dense(stiffness))
+
+    def test_report_reads_overflow_entries_and_keeps_ties_in_order(self):
+        # row 0 is stored in full, far past the padded width, so its
+        # columns 5-11 are overflow entries; the ten worst are six ties at
+        # 0.9 and four of the eight at 0.5, which only stored order picks
+        a = np.eye(12)
+        a[0] = [1.0, 0.5, -0.2, 0.5, 0.3, 0.1, 0.5, 0.9, 0.5, 0.9, 0.2, 0.9]
+        for r in range(1, 12):
+            a[r, (r + 5) % 12] = (0.9, -0.3, 0.5)[r % 3]
+        rows, cols = np.nonzero(a)
+        stiffness = csr_from_coo(rows, cols, a[rows, cols], a.shape)
+        assert stiffness._overflow[0].tolist() == [0]
+        report = check_angle_condition(stiffness)
+        assert not report.passed and report.worst_offdiag == 0.9
+        assert report.offending == _offending_by_scan(a)
+        assert [e[:2] for e in report.offending] == [
+            (0, 7), (0, 9), (0, 11), (3, 8), (6, 11), (9, 2),
+            (0, 1), (0, 3), (0, 6), (0, 8)]
 
 
-def _offending_by_scan(stiffness, slack=1e-13):
-    """Positive off-diagonal entries, worst first with ties in row-major
-    order, at most 10."""
-    a = dense(stiffness)
+def _offending_by_scan(a, slack=1e-13):
+    """Positive off-diagonal entries of a dense array, worst first with
+    ties in row-major order, at most 10."""
     bad = [(i, j, float(a[i, j])) for i in range(a.shape[0])
            for j in range(a.shape[1]) if i != j and a[i, j] > slack]
     bad.sort(key=lambda e: -e[2])
@@ -425,9 +457,10 @@ class TestNorms:
     def test_constant_unit_field(self, cube2_asm):
         w = np.zeros((cube2_asm.n, 3))
         w[:, 2] = 1.0
-        result = norms(cube2_asm.mass, cube2_asm.stiffness, w)
-        assert result.l2 == pytest.approx(1.0)
-        assert result.grad_sq == pytest.approx(0.0, abs=1e-13)
+        assert inner_l2(cube2_asm.mass, w, w) == pytest.approx(1.0)
+        assert grad_sq(cube2_asm.stiffness, w) == pytest.approx(0.0, abs=1e-13)
+        assert h1_norm(cube2_asm.mass, cube2_asm.stiffness, w) == (
+            pytest.approx(1.0))
 
     def test_grad_sq_matches_laplacian(self, cube2_asm):
         rng = np.random.Generator(np.random.Philox(31))
@@ -450,9 +483,9 @@ class TestComplexFieldsRejected:
         lambda a, w: grad_sq(a.stiffness, w),
         lambda a, w: inner_l2(a.mass, w, w.real),
         lambda a, w: inner_l2(a.mass, w.real, w),
-        lambda a, w: norms(a.mass, a.stiffness, w),
+        lambda a, w: h1_norm(a.mass, a.stiffness, w),
     ], ids=["apply_Ph", "apply_Ph_scalar", "discrete_laplacian", "grad_sq",
-            "inner_l2_left", "inner_l2_right", "norms"])
+            "inner_l2_left", "inner_l2_right", "h1_norm"])
     def test_operator_rejects_complex_field(self, cube2_asm, op):
         w = np.ones((cube2_asm.n, 3)) + 1e-3j
         with pytest.raises(InvalidParameterError, match="complex"):

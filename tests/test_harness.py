@@ -564,7 +564,8 @@ class TestConvergence:
                 err, ratio = 0.0, round(k / k_ref)
                 for j, m in enumerate(trajectory(res.scheme, k)):
                     diff = m - ref[j * ratio]
-                    err = max(err, fem.norms(asm.mass, asm.stiffness, diff).h1)
+                    err = max(err, fem.h1_norm(asm.mass, asm.stiffness,
+                                               diff))
                 errors.append(err)
             assert res.errors == errors
             assert res.slope == estimated_order(ks, errors)

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from llgpc.errors import InvalidParameterError, NoConvergenceError
-from llgpc.linalg import RESTART, ROW_BLOCK, CsrMatrix, gmres, spmv
+from llgpc.fem import build_assemblies
+from llgpc.linalg import (RESTART, ROW_BLOCK, CsrMatrix, coo_pattern, gmres,
+                          spmv)
+from llgpc.mesh import build_cube_mesh
 
 from conftest import csr_from_coo, dense
 
@@ -17,11 +20,12 @@ def dense_to_csr(a):
 
 def stored_order_loop(a, xc):
     """Reference product: each row summed from 0.0 in stored order."""
+    _, cols, vals = a.entries()
     y = np.empty(a.n_rows)
     for i in range(a.n_rows):
         acc = 0.0
         for p in range(a.indptr[i], a.indptr[i + 1]):
-            acc += a.data[p] * xc[a.indices[p]]
+            acc += vals[p] * xc[cols[p]]
         y[i] = acc
     return y
 
@@ -117,6 +121,29 @@ class TestCsrMatrix:
     def test_from_coo_rejects_bad_triplets(self, rows, cols, vals):
         with pytest.raises(InvalidParameterError):
             csr_from_coo(rows, cols, vals, (2, 2))
+
+    @pytest.mark.parametrize("matrix", ["stiffness", "mass", "empty_row",
+                                        "one_row", "long_row"])
+    def test_entries_are_the_constructor_input(self, monkeypatch, matrix):
+        # the matrix keeps only its plan; entries() must read back exactly
+        # what the constructor was given, overflow entries included
+        given = {}
+        post_init = CsrMatrix.__post_init__
+
+        def recording(self, indices, data):
+            post_init(self, indices, data)
+            given[id(self)] = indices, data
+
+        monkeypatch.setattr(CsrMatrix, "__post_init__", recording)
+        a = named_matrix(matrix, build_assemblies(build_cube_mesh(2, 1.0)))
+        indices, data = given[id(a)]
+        rows, cols, vals = a.entries()
+        assert np.array_equal(rows, np.repeat(np.arange(a.n_rows),
+                                              np.diff(a.indptr)))
+        assert np.array_equal(cols, indices)
+        assert vals.tobytes() == np.asarray(data, dtype=float).tobytes()
+        assert not hasattr(a, "indices") and not hasattr(a, "data")
+        assert (matrix == "long_row") == (a._overflow[0].size > 0)
 
     def test_empty_row_accepted(self):
         m = CsrMatrix(indptr=np.array([0, 2, 2, 4]),
@@ -239,12 +266,13 @@ class TestSpmv:
     def test_inf_operand_reaches_only_rows_that_read_it(self, cube2_asm,
                                                         matrix):
         a = named_matrix(matrix, cube2_asm)
+        rows, cols, _ = a.entries()
         rng = np.random.Generator(np.random.Philox(8))
         for col in range(a.n_cols):
             x = rng.normal(size=a.n_cols)
             x[col] = np.inf
             y = spmv(a, x)
-            clean = ~np.isin(np.arange(a.n_rows), a.rows[a.indices == col])
+            clean = ~np.isin(np.arange(a.n_rows), rows[cols == col])
             assert np.all(np.isfinite(y[clean]))
             np.testing.assert_array_equal(y, stored_order_loop(a, x))
 
@@ -258,6 +286,20 @@ class TestCsrProperties:
         np.add.at(expected, (rows, cols), vals)
         assert np.array_equal(
             dense(csr_from_coo(rows, cols, vals, shape)), expected)
+
+    @settings(deadline=None)
+    @given(coo_triplets())
+    def test_entries_are_the_constructor_input(self, triplets):
+        rows, cols, vals, shape = triplets
+        indptr, indices, entry = coo_pattern(rows * shape[1] + cols, shape)
+        data = np.bincount(entry, weights=vals, minlength=indices.shape[0])
+        a = CsrMatrix(indptr=indptr, indices=indices, data=data,
+                      n_rows=shape[0], n_cols=shape[1])
+        rows, cols, vals = a.entries()
+        assert np.array_equal(rows, np.repeat(np.arange(shape[0]),
+                                              np.diff(indptr)))
+        assert np.array_equal(cols, indices)
+        assert vals.tobytes() == data.tobytes()
 
     @settings(deadline=None)
     @given(coo_triplets(), st.data())
@@ -380,6 +422,21 @@ class TestGmres:
             gmres(lambda x: 0.0 * x, np.ones(3))
         assert exc.value.iterations == 1
         assert exc.value.residual == np.linalg.norm(np.ones(3))
+
+    @pytest.mark.parametrize("b", [np.ones((4, 1)), np.ones((1, 4)),
+                                   np.float64(1.0)],
+                             ids=["column", "row", "scalar"])
+    def test_b_must_be_a_vector(self, b):
+        # a 2-D b once reached np.dot and raised a bare numpy ValueError
+        calls = []
+
+        def identity(x):
+            calls.append(1)
+            return x.copy()
+
+        with pytest.raises(InvalidParameterError, match=r"shape \(n,\)"):
+            gmres(identity, b)
+        assert calls == []
 
     def test_invalid_rtol(self):
         with pytest.raises(InvalidParameterError):

@@ -19,6 +19,11 @@ from conftest import dense, inner_h, random_unit_field, tangency_recorder
 E3 = np.array([0.0, 0.0, 1.0])
 
 
+def swirl_field(t):
+    """A time-dependent applied field f(t) = (sin 3t, 0, 2 cos 2t)."""
+    return np.array([np.sin(3.0 * t), 0.0, 2.0 * np.cos(2.0 * t)])
+
+
 def uniform_field(n, direction=(1.0, 0.0, 0.0)):
     return np.tile(np.asarray(direction, dtype=float), (n, 1))
 
@@ -281,13 +286,16 @@ class TestPredictors:
         assert iters <= 40
 
     def test_fully_implicit_variational_residual(self, cube2_asm):
-        fld = EffectiveField(uniaxial=Uniaxial(1.0, E3))
+        # at t != 0 with a time-dependent field, so that a field read at t
+        # instead of t + theta k shows; no order test can see that offset
+        fld = EffectiveField(uniaxial=Uniaxial(1.0, E3), applied=swirl_field)
         cfg = IntegratorConfig(scheme="PC2", k=1e-3, theta=0.5)
         m = random_unit_field(cube2_asm.n, 66)
-        v, _ = predictor_fully_implicit(m, cfg, fld, cube2_asm, t=0.0)
+        t = 0.3
+        v, _ = predictor_fully_implicit(m, cfg, fld, cube2_asm, t=t)
         # re-evaluate the implicit system at the returned v
         arg = m + cfg.theta * cfg.k * v
-        h_lower = lower_field(cube2_asm, fld, arg, cfg.theta * cfg.k)
+        h_lower = lower_field(cube2_asm, fld, arg, t + cfg.theta * cfg.k)
         v2, _ = predictor_full(m, cfg, fld, cube2_asm, h_lower=h_lower)
         d = v2 - v
         res = np.sqrt(inner_l2(cube2_asm.mass, d, d))
@@ -434,6 +442,50 @@ class TestStep:
         v, _ = predictor_full(m, cfg_pc2, fld, cube2_asm, h_lower=h)
         expected = corrector_pc2(m, v, cfg_pc2, fld, cube2_asm, 1e-3)
         assert out.m_curr == pytest.approx(expected, abs=1e-13)
+
+    def test_pc2_imex_reads_lower_field_at_theta_offset(self, cube2_asm):
+        # ell >= 1: P_h pi of the extrapolated argument plus f, both at
+        # t + theta k; the order tests cannot see a field read at t, as v
+        # enters the corrector only through k v
+        fld = EffectiveField(uniaxial=Uniaxial(1.0, E3), applied=swirl_field)
+        cfg = IntegratorConfig(scheme="PC2_IMEX", k=1e-2, theta=0.5)
+        m, m_prev = (random_unit_field(cube2_asm.n, s) for s in (86, 87))
+        out = step(SimState(ell=30, m_curr=m, m_prev=m_prev), cfg, fld,
+                   cube2_asm)
+
+        t = 30 * cfg.k
+        w = (1.0 + cfg.theta) * m - cfg.theta * m_prev
+        h = lower_field(cube2_asm, fld, w, t + cfg.theta * cfg.k)
+        v, _ = predictor_full(m, cfg, fld, cube2_asm, h_lower=h)
+        expected = corrector_pc2(m, v, cfg, fld, cube2_asm, t)
+        assert out.m_curr == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("scheme, fields", [
+        ("PC1", dict(m_curr=[[1.0, 0.0, 0.0]] * 26)),
+        ("PC1", dict(m_curr=np.full((27, 3), True))),
+        ("PC2_IMEX", dict(m_prev=[[1.0, 0.0, 0.0]] * 26)),
+        ("PC2_IMEX", dict(m_prev=np.ones((27, 2)))),
+    ], ids=["m_curr_short_list", "m_curr_bool", "m_prev_short_list",
+            "m_prev_shape"])
+    def test_bad_state_fields_rejected(self, cube2_asm, scheme, fields):
+        # a short m_prev once met m in a numpy broadcast error
+        m = uniform_field(cube2_asm.n)
+        state = SimState(**{"ell": 1, "m_curr": m, "m_prev": m, **fields})
+        with pytest.raises(InvalidParameterError):
+            step(state, IntegratorConfig(scheme=scheme, k=1e-3),
+                 EffectiveField(), cube2_asm)
+
+    def test_list_fields_step_as_arrays(self, cube2_asm):
+        # a list m_curr once raised AttributeError from the nodal blocks
+        fld = EffectiveField(uniaxial=Uniaxial(1.0, E3))
+        cfg = IntegratorConfig(scheme="PC2_IMEX", k=1e-3)
+        m, m_prev = (random_unit_field(cube2_asm.n, s) for s in (88, 89))
+        out = step(SimState(ell=1, m_curr=m.tolist(), m_prev=m_prev.tolist()),
+                   cfg, fld, cube2_asm)
+        expected = step(SimState(ell=1, m_curr=m, m_prev=m_prev), cfg, fld,
+                        cube2_asm)
+        assert out.m_curr.tobytes() == expected.m_curr.tobytes()
+        assert np.array_equal(out.m_prev, m)
 
     def test_pc1_energy_decay_exchange_only(self, cube4_asm):
         from llgpc.fem import check_angle_condition

@@ -22,7 +22,7 @@ error there is some 200 times its error at 4e-3).
 import numpy as np
 import pytest
 
-from llgpc.fem import norms
+from llgpc.fem import h1_norm
 from llgpc.harness import RunConfig, run_simulation
 from llgpc.llg import EffectiveField, IntegratorConfig, Uniaxial
 
@@ -84,8 +84,8 @@ def test_order_against_rk4_semidiscrete(scheme, order, cube4_asm, m0,
             field=FIELD, t_end=n_steps * k, stride=n_steps)
         res = run_simulation(cube4_asm, cfg, m0)
         assert res.status == "completed"
-        errors.append(norms(cube4_asm.mass, cube4_asm.stiffness,
-                            res.state.m_curr - reference).h1)
+        errors.append(h1_norm(cube4_asm.mass, cube4_asm.stiffness,
+                              res.state.m_curr - reference))
     slopes = np.diff(np.log(errors)) / np.diff(np.log(KS))
     print(f"\n{scheme}: errors {errors}, slopes {slopes}")
     assert np.all(np.abs(slopes - order) <= 0.05)
