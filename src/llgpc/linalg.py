@@ -28,7 +28,7 @@ class CsrMatrix:
     is slot-major (n_blocks, W, B) column and value arrays that cut
     R = max(n_rows, 2) rows into n_blocks = ceil(R / ROW_BLOCK) blocks of
     B = ceil(R / n_blocks) >= 2 rows, the last padded with empty rows,
-    plus the entries of rows longer than W.
+    plus, as COO, the entries of rows longer than W past their W slots.
     """
 
     indptr: np.ndarray
@@ -41,60 +41,60 @@ class CsrMatrix:
 
     def __post_init__(self, indices, data):
         for name, a in (("indptr", self.indptr), ("indices", indices)):
-            if not np.issubdtype(a.dtype, np.integer):  # a cast truncates
-                raise InvalidParameterError(f"{name} must be integers")
+            # a cast truncates; uint64 does not fit the int64 index sums
+            if a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64):
+                raise InvalidParameterError(f"{name} must be integers in int64")
         data = real_array(data, "data", indices.shape)
         if self.indptr.shape[0] != self.n_rows + 1:
             raise InvalidParameterError("indptr length must be n_rows + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != data.shape[0]:
             raise InvalidParameterError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
+        if np.any(self.indptr[1:] < self.indptr[:-1]):
             raise InvalidParameterError("row offsets must be monotone")
-        rows, slot = self._row_slots()
-        bad = (indices < 0) | (indices >= self.n_cols)
-        bad[1:] |= (rows[1:] == rows[:-1]) & (np.diff(indices) <= 0)
+        bad = np.zeros(self.nnz + 1, dtype=bool)  # bad[p]: column p <= p - 1
+        np.less_equal(indices[1:], indices[:-1], out=bad[1:-1])
+        bad[self.indptr] = False  # a row's first entry follows none of it
+        bad = bad[:-1] | (indices < 0) | (indices >= self.n_cols)
         if np.any(bad):
-            raise InvalidParameterError(
-                f"bad column indices in row {rows[np.argmax(bad)]}")
+            row = np.searchsorted(self.indptr, np.argmax(bad), "right") - 1
+            raise InvalidParameterError(f"bad column indices in row {row}")
         lengths = np.diff(self.indptr)
         n_blocks = -(-max(self.n_rows, 2) // ROW_BLOCK)
         size = -(-max(self.n_rows, 2) // n_blocks)  # rows per block, >= 2
         width = min(int(lengths.max(initial=0)),
                     2 * self.nnz // (n_blocks * size))
-        # flat index of (block, slot, row in block); overflow entries land
-        # in a spare slot row, cut off below
-        np.minimum(slot, width, out=slot)
-        flat = (rows // size * width + slot) * size + rows
-        ell_cols = np.full((n_blocks, width + 1, size), self.n_cols)
-        ell_vals = np.zeros(ell_cols.shape)
-        ell_cols.reshape(-1)[flat] = indices
-        ell_vals.reshape(-1)[flat] = data
-        over = np.flatnonzero(slot == width)
+        ell_cols = np.full((n_blocks, width, size), self.n_cols)
+        object.__setattr__(self, "_ell", (ell_cols, np.zeros(ell_cols.shape)))
+        in_plan = np.zeros(self.nnz, dtype=bool)
+        for at, pos, stored in self._slots(lengths):
+            for p, a in zip(self._ell, (indices, data)):
+                np.copyto(p[at], a.take(pos, mode="clip"), where=stored)
+            in_plan[pos[stored]] = True
         long = np.flatnonzero(lengths > width)
-        bins = np.concatenate([np.arange(long.size),
-                               np.searchsorted(long, rows[over])])
-        object.__setattr__(self, "_ell", (ell_cols[:, :width],
-                                          ell_vals[:, :width]))
-        object.__setattr__(self, "_overflow",
-                           (long, bins, indices[over], data[over]))
+        object.__setattr__(self, "_overflow", (np.repeat(
+            long, lengths[long] - width), indices[~in_plan], data[~in_plan]))
 
-    def _row_slots(self):
-        """Row of every stored entry, and its place in that row."""
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        return rows, np.arange(self.nnz) - self.indptr[rows]
+    def _slots(self, lengths):
+        """Slot j of row r holds stored entry indptr[r] + j if j < lengths[r].
+        Yields, block by block and slot by slot, the slot's view index, the
+        positions indptr[r] + j (masked ones may pass nnz) and that mask."""
+        n_blocks, width, size = self._ell[0].shape
+        for b, j in np.ndindex(n_blocks, width):
+            rows = slice(b * size, (b + 1) * size)
+            n = lengths[rows]
+            yield np.s_[b, j, :n.size], self.indptr[:-1][rows] + j, n > j
 
     def entries(self) -> tuple:
         """(rows, cols, vals) of the stored entries in stored order, read
         from the plan: slot j of row r, then the row's overflow entries."""
-        _, width, size = self._ell[0].shape
-        rows, slot = self._row_slots()
-        in_plan = slot < width
-        flat = ((rows // size * width + slot) * size + rows % size)[in_plan]
-        cols, vals = (np.empty(self.nnz, p.dtype) for p in self._ell)
-        for out, p, over in zip((cols, vals), self._ell, self._overflow[2:]):
-            out[in_plan] = p.reshape(-1)[flat]
-            out[~in_plan] = over
-        return rows, cols, vals
+        lengths = np.diff(self.indptr)
+        cols, vals = np.full(self.nnz, -1), np.empty(self.nnz)
+        for at, pos, stored in self._slots(lengths):
+            pos = pos[stored]
+            cols[pos], vals[pos] = (p[at][stored] for p in self._ell)
+        over = cols < 0  # the entries no slot wrote
+        cols[over], vals[over] = self._overflow[1:]
+        return np.repeat(np.arange(self.n_rows), lengths), cols, vals
 
     @property
     def nnz(self) -> int:
@@ -149,9 +149,8 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
       an unfused multiply and add where numpy's SIMD baseline has no FMA
       (X86_V2); the tests against a stored-order loop guard both.
     - W is at most 2 nnz / (n_blocks B), so one long row cannot make the
-      plan quadratic in memory.  A longer row continues in one bincount per
-      component, whose weights are the row's slot sum s followed by its
-      remaining products: 0.0 + s = s, as s is never -0.0.
+      plan quadratic in memory.  A longer row's entries past slot W are
+      COO, and np.add.at adds their products to its sum in stored order.
     """
     x = real_array(x, "x")
     if x.shape not in ((a.n_cols,), (a.n_cols, 3)):
@@ -166,11 +165,11 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     for b in range(n_blocks):
         np.einsum("cwr,wr->cr", xs.take(ell_cols[b], axis=1), ell_vals[b],
                   out=y[:, b * size:(b + 1) * size])
-    long, bins, cols, vals = a._overflow
-    if long.size:
-        q = xs.take(cols, axis=1) * vals
-        for yc, qc in zip(y, q):
-            yc[long] = np.bincount(bins, weights=np.concatenate([yc[long], qc]))
+    rows, cols, vals = a._overflow
+    if rows.size:
+        with np.errstate(over="ignore", invalid="ignore"):  # quiet, as einsum
+            for y_c, q_c in zip(y, xs.take(cols, axis=1) * vals):
+                np.add.at(y_c, rows, q_c)
     if x.ndim == 1:
         return y[0, :a.n_rows]
     return np.asarray(y[:, :a.n_rows].T, order="F" if np.isfortran(x) else "C")

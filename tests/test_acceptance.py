@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end checks of the integrator toolkit.
+"""Acceptance suite: eleven end-to-end checks of the integrator toolkit.
 
 Each test prints a single PASS/FAIL line.  Tolerances are pinned; shared
 expensive runs are cached in session-scoped fixtures.  Criterion 4
@@ -11,7 +11,7 @@ recorder and call the predictors through their modules.
 import numpy as np
 import pytest
 
-from llgpc import llg
+from llgpc import fem, llg
 from llgpc.fem import (build_assemblies, check_angle_condition,
                        discrete_laplacian, grad_sq, inner_l2, nodal_cross)
 from llgpc.harness import (RunConfig, init_state, run_convergence_study,
@@ -30,6 +30,33 @@ CRIT1_FIELD = EffectiveField(ell_ex=1.0, uniaxial=Uniaxial(1.0, E3),
                              applied=np.array([-2.0, -0.5, 0.0]))
 CRIT1_KS = [8e-3, 4e-3, 2e-3, 1e-3]
 CRIT1_KREF = 2.5e-4
+CRIT11_KS = [4e-3, 2e-3, 1e-3]
+CRIT11_PAIRS = [("PC1_IMEX", "PC1"), ("PC2_IMEX", "PC2")]  # (IMEX, implicit)
+
+
+def solver_work(asm, scheme, k, m0):
+    """(GMRES iterations, fem.spmv calls) of one criterion-1 run to
+    t = 0.016, counted by wrapping the names the schemes call through."""
+    counts = [0, 0]
+    gmres, spmv = llg.gmres, fem.spmv
+
+    def counted_gmres(*args, **kwargs):
+        result = gmres(*args, **kwargs)
+        counts[0] += result.iterations
+        return result
+
+    def counted_spmv(*args):
+        counts[1] += 1
+        return spmv(*args)
+
+    cfg = RunConfig(integrator=IntegratorConfig(scheme=scheme, k=k,
+                                                theta=0.5, alpha=1.0),
+                    field=CRIT1_FIELD, t_end=0.016, stride=1000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(llg, "gmres", counted_gmres)
+        mp.setattr(fem, "spmv", counted_spmv)
+        assert run_simulation(asm, cfg, m0).status == "completed"
+    return tuple(counts)
 
 
 def report(name, passed, detail):
@@ -300,3 +327,30 @@ class TestAcceptance:
         report("criterion 10 zero-damping well-posedness", drift <= 1e-9,
                f"100 steps completed without solver failure, "
                f"unit drift {drift:.3e}")
+
+    def test_11_imex_cost(self, cube4_asm):
+        # the paper's cost claim for the IMEX lower-order field, in work
+        # counts that do not depend on the machine
+        m0 = init_state(cube4_asm.mesh, "uniform")
+        work = {(scheme, k): solver_work(cube4_asm, scheme, k, m0)
+                for pair in CRIT11_PAIRS for scheme in pair
+                for k in CRIT11_KS}
+        # GMRES iterations: the implicit operator also carries
+        # theta k P_h pi(v), and its solves take about twice the IMEX
+        # iterations (8 against 4 and 5 per 4 steps at k = 4e-3).
+        # SpMV calls: an implicit application makes a mass SpMV besides
+        # its stiffness SpMV, and the implicit solves make about twice the
+        # applications; right-hand sides, correctors and the trace cost
+        # both schemes of a pair alike.  Both bounds are strict: an IMEX
+        # predictor that carries pi(v) implicitly makes exactly the
+        # implicit partner's counts.
+        ok = all(work[(imex, k)][i] < work[(implicit, k)][i]
+                 for imex, implicit in CRIT11_PAIRS for k in CRIT11_KS
+                 for i in (0, 1))
+        detail = "; ".join(
+            f"{scheme} " + " / ".join(
+                f"{work[(scheme, k)][0]}:{work[(scheme, k)][1]}"
+                for k in CRIT11_KS)
+            for pair in CRIT11_PAIRS for scheme in pair)
+        report("criterion 11 IMEX cost", ok,
+               f"GMRES iterations:SpMV calls at k = {CRIT11_KS}: {detail}")

@@ -175,7 +175,7 @@ class TestAssembly:
 
     def test_kept_memory_n16(self):
         # each matrix keeps its plan and indptr, not a second copy of its
-        # entries: 1.92 MiB kept, 3.44 MiB with CSR indices and data too
+        # entries: 1.77 MiB kept, 3.44 MiB with CSR indices and data too
         mesh = build_cube_mesh(16, 1.0)
         tracemalloc.start()
         try:
@@ -435,7 +435,7 @@ class TestAngleCondition:
             a[r, (r + 5) % 12] = (0.9, -0.3, 0.5)[r % 3]
         rows, cols = np.nonzero(a)
         stiffness = csr_from_coo(rows, cols, a[rows, cols], a.shape)
-        assert stiffness._overflow[0].tolist() == [0]
+        assert np.unique(stiffness._overflow[0]).tolist() == [0]
         report = check_angle_condition(stiffness)
         assert not report.passed and report.worst_offdiag == 0.9
         assert report.offending == _offending_by_scan(a)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,79 @@ class TestCsrMatrix:
         assert not hasattr(a, "indices") and not hasattr(a, "data")
         assert (matrix == "long_row") == (a._overflow[0].size > 0)
 
+    @pytest.mark.parametrize("indices, row", [
+        ([0, 2, 1, 1], 2), ([0, 2, 3, 1], 2), ([2, 2, 0, 1], 0),
+    ], ids=["duplicate_after_empty_row", "out_of_range_first_entry",
+            "duplicate_in_first_row"])
+    def test_bad_column_names_its_row(self, indices, row):
+        # row 1 is empty, so entry 2 opens row 2
+        with pytest.raises(InvalidParameterError, match=f"in row {row}$"):
+            CsrMatrix(indptr=np.array([0, 2, 2, 4]),
+                      indices=np.array(indices), data=np.ones(4),
+                      n_rows=3, n_cols=3)
+
+    @pytest.mark.parametrize("name, dtype, indptr, indices, accepted", [
+        ("indptr", np.uint64, [0, 2, 2, 4], [0, 2, 0, 1], False),
+        ("indptr", np.uint64, [0, 2, 1, 4], [0, 2, 0, 1], False),
+        ("indptr", np.uint32, [0, 2, 1, 4], [0, 2, 0, 1], False),
+        ("indices", np.uint64, [0, 2, 2, 4], [0, 2, 0, 1], False),
+        ("indices", np.uint32, [0, 2, 2, 4], [2, 0, 0, 1], False),
+        ("indptr", np.uint32, [0, 2, 2, 4], [0, 2, 0, 1], True),
+        ("indptr", np.int32, [0, 2, 2, 4], [0, 2, 0, 1], True),
+        ("indices", np.uint32, [0, 2, 2, 4], [0, 2, 0, 1], True),
+        ("indices", np.int32, [0, 2, 2, 4], [0, 2, 0, 1], True),
+    ], ids=["uint64_indptr", "uint64_indptr_decreases",
+            "uint32_indptr_decreases", "uint64_indices",
+            "uint32_indices_decrease", "uint32_indptr", "int32_indptr",
+            "uint32_indices", "int32_indices"])
+    def test_index_dtypes_must_fit_int64(self, name, dtype, indptr, indices,
+                                         accepted):
+        # np.diff wraps on unsigned input, so a check of differences would
+        # pass [0, 2, 1, 4] or a row [2, 0]; uint64 need not fit int64
+        parts = dict(indptr=np.array(indptr), indices=np.array(indices),
+                     data=np.array([0.1, 0.7, -0.3, 1.9]))
+        parts[name] = parts[name].astype(dtype)
+        if not accepted:
+            with pytest.raises(InvalidParameterError):
+                CsrMatrix(**parts, n_rows=3, n_cols=3)
+            return
+        a = CsrMatrix(**parts, n_rows=3, n_cols=3)
+        b = named_matrix("empty_row", None)
+        assert np.array_equal(a.entries()[1], b.entries()[1])
+        x = np.array([1.5, -2.0, 0.25])
+        assert spmv(a, x).tobytes() == spmv(b, x).tobytes()
+
+    @pytest.mark.parametrize("matrix", ["stiffness", "mass", "empty_row",
+                                        "one_row", "long_row"])
+    def test_plan_arrays_own_exactly_their_slots(self, cube2_asm, matrix):
+        # (n_blocks, W, B) arrays with no spare slot row behind them
+        a = named_matrix(matrix, cube2_asm)
+        lengths = np.diff(a.indptr)
+        n_blocks = -(-max(a.n_rows, 2) // ROW_BLOCK)
+        size = -(-max(a.n_rows, 2) // n_blocks)
+        width = min(lengths.max(), 2 * a.nnz // (n_blocks * size))
+        for p in a._ell:
+            assert p.shape == (n_blocks, width, size)
+            assert p.base is None and p.flags.c_contiguous
+        rows, _, _ = a._overflow
+        assert rows.tolist() == np.repeat(
+            np.arange(a.n_rows), np.maximum(lengths - width, 0)).tolist()
+
+    def test_constructor_peak_memory_n16(self):
+        # the plan is written slot by slot in each block, with no per-entry
+        # int64 array: the mass plan is 1.12 MiB and the peak above the
+        # inputs 1.38 MiB
+        mass = build_assemblies(build_cube_mesh(16, 1.0)).mass
+        _, cols, vals = mass.entries()
+        tracemalloc.start()
+        try:
+            CsrMatrix(indptr=mass.indptr, indices=cols, data=vals,
+                      n_rows=mass.n_rows, n_cols=mass.n_cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_empty_row_accepted(self):
         m = CsrMatrix(indptr=np.array([0, 2, 2, 4]),
                       indices=np.array([0, 2, 0, 1]),
@@ -217,6 +292,18 @@ class TestSpmv:
         # the padded blocks never hold more than twice the stored entries
         assert a._ell[0].size <= 2 * a.nnz
 
+    def test_overflow_sums_non_finite_products_silently(self):
+        # row 0's columns past its W = 11 slots are overflow entries; inf -
+        # inf and an overflowing product there warn no more than einsum
+        # does on the plan (the suite turns warnings into errors)
+        a = named_matrix("long_row", None)
+        x = np.linspace(-1.0, 1.0, 40)
+        x[[3, 30]], x[[4, 35]], x[38] = np.inf, -np.inf, 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = stored_order_loop(a, x)
+        assert np.isnan(expected[0])
+        assert spmv(a, x).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n_rows", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
     def test_row_blocks_bitwise_equal_to_stored_order_loop(self, n_rows):
         # 8-16 entries a row, so that a sum out of stored order shows; row
@@ -235,7 +322,7 @@ class TestSpmv:
                       data=rng.normal(size=indices.size)
                       * 10.0 ** rng.uniform(-4, 4, indices.size),
                       n_rows=n_rows, n_cols=300)
-        assert a._overflow[0].tolist() == [n_rows - 2]
+        assert np.unique(a._overflow[0]).tolist() == [n_rows - 2]
         x = rng.normal(size=(300, 4))  # the last column for the 1-D path
         expected = np.column_stack([stored_order_loop(a, x[:, c])
                                     for c in range(4)])
