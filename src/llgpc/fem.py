@@ -101,7 +101,7 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     product with a finite operand changes.
     """
     n, tets, vols = mesh.n_vertices, mesh.tets, mesh.volumes
-    indptr, cols, edge = coo_pattern(_edge_keys(tets, n), (n, n))
+    indptr, cols, edge = coo_pattern(_edge_keys(tets, n), n)
     edge = edge.reshape(-1, 6)
     # stiffness and mass sums: vertex z at z, upper edge e at n + e
     sums = np.zeros((2, n + cols.shape[0]))
@@ -114,17 +114,15 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     del edge
     rows = np.repeat(np.arange(n), np.diff(indptr))
     indptr, indices, entry = coo_pattern(np.concatenate(
-        (np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)), (n, n))
+        (np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)), n)
     a, m = np.empty(entry.shape[0]), np.empty(entry.shape[0])
     a[entry], m[entry] = np.concatenate((sums, sums[:, n:]), axis=1)  # mirror
     del rows, cols, entry, sums  # before the CSR plans: a lower peak
     keep = a != 0.0
     kept = np.concatenate(([0], np.cumsum(keep)))[indptr]
-    stiffness = CsrMatrix(indptr=kept, indices=indices[keep], data=a[keep],
-                          n_rows=n, n_cols=n)
+    stiffness = CsrMatrix(indptr=kept, indices=indices[keep], data=a[keep])
     del a, keep
-    mass = CsrMatrix(indptr=indptr, indices=indices, data=m,
-                     n_rows=n, n_cols=n)
+    mass = CsrMatrix(indptr=indptr, indices=indices, data=m)
     beta = np.bincount(tets.ravel(), weights=np.repeat(vols / 4.0, 4),
                        minlength=n)
     return Assemblies(mesh=mesh, stiffness=stiffness, mass=mass, beta=beta)
@@ -188,7 +186,7 @@ def check_angle_condition(stiffness: CsrMatrix) -> AngleConditionReport:
     counting as 0.0."""
     rows, cols, vals = stiffness.entries()
     off = np.flatnonzero(rows != cols)  # stored positions, in order
-    full = 0 < off.size == stiffness.n_rows * (stiffness.n_cols - 1)
+    full = 0 < off.size == stiffness.n * (stiffness.n - 1)
     bad = off[vals[off] > ANGLE_SLACK]
     # stable sort keeps stored order among equal values
     worst_first = bad[np.argsort(-vals[bad], kind="stable")]

@@ -109,6 +109,10 @@ class RunConfig:
     monitor_stability: bool = False
 
     def __post_init__(self):
+        for name, kind in (("integrator", IntegratorConfig),
+                           ("field", EffectiveField)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be an {kind.__name__}")
         check_real(self.t_end, "t_end", positive=True, error=ConfigError)
         check_int(self.stride, "stride", 1, error=ConfigError)
         n_steps = self.t_end / self.integrator.k

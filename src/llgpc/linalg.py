@@ -19,14 +19,14 @@ ROW_BLOCK = 4096  # a (3, 15, 4096) float64 gather is 1.4 MiB, in L2
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
-    """Compressed-row scalar matrix, kept as `indptr` and the padded-row
-    plan `spmv` runs on; `entries()` reads the stored entries back.
+    """Compressed-row n x n matrix, n = len(indptr) - 1, stored as `indptr`
+    and the padded-row plan `spmv` runs on, which `entries()` reads back.
 
-    Column indices are strictly increasing within each row and lie in
-    [0, n_cols); row offsets are monotone; both are enforced at
-    construction, as are integer index arrays and real data.  The plan
-    is slot-major (n_blocks, W, B) column and value arrays that cut
-    R = max(n_rows, 2) rows into n_blocks = ceil(R / ROW_BLOCK) blocks of
+    Construction checks that index arrays are 1-d integer ndarrays that
+    fit int64, data is real, columns increase strictly within each row in
+    [0, n) and row offsets are monotone from 0 to nnz.  The plan is
+    slot-major (n_blocks, W, B) column and value arrays that cut
+    R = max(n, 2) rows into n_blocks = ceil(R / ROW_BLOCK) blocks of
     B = ceil(R / n_blocks) >= 2 rows, the last padded with empty rows,
     plus, as COO, the entries of rows longer than W past their W slots.
     """
@@ -34,36 +34,38 @@ class CsrMatrix:
     indptr: np.ndarray
     indices: InitVar[np.ndarray]
     data: InitVar[np.ndarray]
-    n_rows: int
-    n_cols: int
+    n: int = field(init=False)
     _ell: tuple = field(init=False, repr=False)
     _overflow: tuple = field(init=False, repr=False)
 
     def __post_init__(self, indices, data):
         for name, a in (("indptr", self.indptr), ("indices", indices)):
             # a cast truncates; uint64 does not fit the int64 index sums
-            if a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64):
-                raise InvalidParameterError(f"{name} must be integers in int64")
+            if (not isinstance(a, np.ndarray) or a.ndim != 1
+                    or a.dtype.kind not in "iu"
+                    or not np.can_cast(a.dtype, np.int64)):
+                raise InvalidParameterError(
+                    f"{name} must be integers in int64, in a 1-d ndarray")
         data = real_array(data, "data", indices.shape)
-        if self.indptr.shape[0] != self.n_rows + 1:
-            raise InvalidParameterError("indptr length must be n_rows + 1")
-        if self.indptr[0] != 0 or self.indptr[-1] != data.shape[0]:
+        n = self.indptr.shape[0] - 1  # -1 for an empty indptr: no start
+        if n < 0 or self.indptr[0] != 0 or self.indptr[-1] != data.shape[0]:
             raise InvalidParameterError("indptr must start at 0 and end at nnz")
         if np.any(self.indptr[1:] < self.indptr[:-1]):
             raise InvalidParameterError("row offsets must be monotone")
         bad = np.zeros(self.nnz + 1, dtype=bool)  # bad[p]: column p <= p - 1
         np.less_equal(indices[1:], indices[:-1], out=bad[1:-1])
         bad[self.indptr] = False  # a row's first entry follows none of it
-        bad = bad[:-1] | (indices < 0) | (indices >= self.n_cols)
+        bad = bad[:-1] | (indices < 0) | (indices >= n)
         if np.any(bad):
             row = np.searchsorted(self.indptr, np.argmax(bad), "right") - 1
             raise InvalidParameterError(f"bad column indices in row {row}")
+        object.__setattr__(self, "n", n)
         lengths = np.diff(self.indptr)
-        n_blocks = -(-max(self.n_rows, 2) // ROW_BLOCK)
-        size = -(-max(self.n_rows, 2) // n_blocks)  # rows per block, >= 2
+        n_blocks = -(-max(n, 2) // ROW_BLOCK)
+        size = -(-max(n, 2) // n_blocks)  # rows per block, >= 2
         width = min(int(lengths.max(initial=0)),
                     2 * self.nnz // (n_blocks * size))
-        ell_cols = np.full((n_blocks, width, size), self.n_cols)
+        ell_cols = np.full((n_blocks, width, size), n)
         object.__setattr__(self, "_ell", (ell_cols, np.zeros(ell_cols.shape)))
         in_plan = np.zeros(self.nnz, dtype=bool)
         for at, pos, stored in self._slots(lengths):
@@ -81,8 +83,8 @@ class CsrMatrix:
         n_blocks, width, size = self._ell[0].shape
         for b, j in np.ndindex(n_blocks, width):
             rows = slice(b * size, (b + 1) * size)
-            n = lengths[rows]
-            yield np.s_[b, j, :n.size], self.indptr[:-1][rows] + j, n > j
+            held = lengths[rows]
+            yield np.s_[b, j, :held.size], self.indptr[:-1][rows] + j, held > j
 
     def entries(self) -> tuple:
         """(rows, cols, vals) of the stored entries in stored order, read
@@ -94,15 +96,15 @@ class CsrMatrix:
             cols[pos], vals[pos] = (p[at][stored] for p in self._ell)
         over = cols < 0  # the entries no slot wrote
         cols[over], vals[over] = self._overflow[1:]
-        return np.repeat(np.arange(self.n_rows), lengths), cols, vals
+        return np.repeat(np.arange(self.n), lengths), cols, vals
 
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
 
-def coo_pattern(key, shape):
-    """CSR pattern of COO keys row * n_cols + col: (indptr, indices, entry).
+def coo_pattern(key, n):
+    """n x n CSR pattern of COO keys row * n + col: (indptr, indices, entry).
 
     Key p belongs to stored entry entry[p]; callers sum per entry with
     np.add.at, from 0.0 in key order, or place the values of unique keys.
@@ -110,7 +112,6 @@ def coo_pattern(key, shape):
     checks the indices, as an out-of-range column would alias a
     neighbouring row.
     """
-    n_rows, n_cols = shape
     order = np.argsort(key, kind="stable")
     key = key[order]
     new_entry = np.empty(key.size, dtype=bool)
@@ -121,9 +122,9 @@ def coo_pattern(key, shape):
     key -= 1
     entry = np.empty_like(key)
     entry[order] = key
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(unique // n_cols, minlength=n_rows), out=indptr[1:])
-    return indptr, unique % n_cols, entry
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
+    return indptr, unique % n, entry
 
 
 def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -137,27 +138,28 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     arrays holds the row's j-th stored entry.  Block by block, one gather
     of x and one einsum pass multiply and add over the slot axis, so the
     (3, W, B) gather stays in cache while it is read.
-    - Padding has value 0.0 and reads column n_cols of a copy of x whose
+    - Padding has value 0.0 and reads column n of a copy of x whose
       extra column is 0.0: a padded term is exactly +0.0, which leaves a
       sum unchanged even where x holds inf or NaN (0 * inf would be NaN).
       An entry the matrix does not store adds nothing either: the result
       is A x for the stored matrix, where a stored 0.0 would turn an inf
       of x into NaN.
     - Every block holds B >= 2 rows: with one, the slot axis would
-      become einsum's fast axis, which it sums out of order.  With more,
-      einsum adds each slot's products to its row sums in slot order, by
-      an unfused multiply and add where numpy's SIMD baseline has no FMA
-      (X86_V2); the tests against a stored-order loop guard both.
+      become einsum's fast axis, which it sums out of order (a one-row
+      square matrix holds at most one entry).  With more, einsum adds
+      each slot's products to its row sums in slot order, by an unfused
+      multiply and add where numpy's SIMD baseline has no FMA (X86_V2);
+      the tests against a stored-order loop guard both.
     - W is at most 2 nnz / (n_blocks B), so one long row cannot make the
       plan quadratic in memory.  A longer row's entries past slot W are
       COO, and np.add.at adds their products to its sum in stored order.
     """
+    n = a.n
     x = real_array(x, "x")
-    if x.shape not in ((a.n_cols,), (a.n_cols, 3)):
+    if x.shape not in ((n,), (n, 3)):
         raise InvalidParameterError(
-            f"x must have shape ({a.n_cols},) or ({a.n_cols}, 3) for a "
-            f"{a.n_rows}x{a.n_cols} matrix, got {x.shape}")
-    xs = np.zeros((1 if x.ndim == 1 else 3, a.n_cols + 1))
+            f"x must have shape ({n},) or ({n}, 3), got {x.shape}")
+    xs = np.zeros((1 if x.ndim == 1 else 3, n + 1))
     xs[:, :-1] = x.T
     ell_cols, ell_vals = a._ell
     n_blocks, _, size = ell_cols.shape
@@ -171,8 +173,8 @@ def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
             for y_c, q_c in zip(y, xs.take(cols, axis=1) * vals):
                 np.add.at(y_c, rows, q_c)
     if x.ndim == 1:
-        return y[0, :a.n_rows]
-    return np.asarray(y[:, :a.n_rows].T, order="F" if np.isfortran(x) else "C")
+        return y[0, :n]
+    return np.asarray(y[:, :n].T, order="F" if np.isfortran(x) else "C")
 
 
 @dataclass

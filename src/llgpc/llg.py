@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from . import fem
-from .errors import (InvalidParameterError, NonFiniteStateError, check_real,
-                     real_array)
+from .errors import (InvalidParameterError, NonFiniteStateError, check_int,
+                     check_real, real_array)
 from .fem import (Assemblies, apply_Ph, discrete_laplacian, grad_sq,
                   inner_l2, nodal_cross, nodal_project_sphere)
 from .linalg import gmres
@@ -288,6 +288,7 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
     Raises NonFiniteStateError, naming the first vertex, if the new state
     is not finite (an overflow in the corrector, say)."""
     m = real_array(state.m_curr, "m_curr", (asm.n, 3))
+    check_int(state.ell, "ell", 0)
     t = state.ell * cfg.k
     if cfg.scheme == "PC2_IMEX" and state.ell == 0:
         # preprocessing step: one PC2 step supplies a second-order m^1

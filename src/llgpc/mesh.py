@@ -136,24 +136,19 @@ def build_cube_mesh(n: int, edge_length: float, center=(0.0, 0.0, 0.0)) -> Mesh:
     check_real(edge_length, "edge_length", positive=True)
     center = real_array(center, "center", (3,))
 
+    def vid(i, j, k):  # the index of vertex (i, j, k)
+        return i + (n + 1) * (j + (n + 1) * k)
+
     grid = np.arange(n + 1, dtype=np.float64) * (edge_length / n)
-    # vertex (i, j, k) -> index i + (n+1)*(j + (n+1)*k)
-    kk, jj, ii = np.meshgrid(grid, grid, grid, indexing="ij")
+    kk, jj, ii = np.meshgrid(grid, grid, grid, indexing="ij")  # vid order
     vertices = np.column_stack([ii.ravel(), jj.ravel(), kk.ravel()])
     vertices += center - edge_length / 2.0
 
-    def vid(i, j, k):
-        return i + (n + 1) * (j + (n + 1) * k)
-
     cells = np.arange(n)
-    ci, cj, ck = np.meshgrid(cells, cells, cells, indexing="ij")
-    ci, cj, ck = ci.ravel(), cj.ravel(), ck.ravel()
-    tets = np.empty((6 * ci.size, 4), dtype=np.int64)
-    for t, path in enumerate(_KUHN_PATHS):
-        for corner in range(4):
-            di, dj, dk = path[corner]
-            tets[t::6, corner] = vid(ci + di, cj + dj, ck + dk)
-    return Mesh(vertices, tets)
+    base = vid(*np.meshgrid(cells, cells, cells, indexing="ij")).ravel()
+    # vid is linear: a tet corner is its cell's base vertex plus an offset
+    offsets = vid(*np.array(_KUHN_PATHS).T).T  # (6 tets, 4 corners)
+    return Mesh(vertices, (base[:, None, None] + offsets).reshape(-1, 4))
 
 
 def save_mesh(mesh: Mesh) -> str:

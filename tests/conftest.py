@@ -60,29 +60,27 @@ def oriented_mesh(vertices, tets):
     return Mesh(vertices, tets)
 
 
-def csr_from_coo(rows, cols, vals, shape):
-    """CsrMatrix of triplets; each stored entry sums its triplets from 0.0
-    in triplet order, as build_assemblies does."""
+def csr_from_coo(rows, cols, vals, n):
+    """n x n CsrMatrix of triplets; each stored entry sums its triplets
+    from 0.0 in triplet order, as build_assemblies does."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if rows.ndim != 1 or cols.shape != rows.shape:
         raise InvalidParameterError("rows and cols must be equal-length 1-d")
-    # checked before keying: row * n_cols + col would alias an
-    # out-of-range column with a neighbouring row
-    for what, idx, bound in (("row", rows, shape[0]),
-                             ("column", cols, shape[1])):
-        if idx.size and (idx.min() < 0 or idx.max() >= bound):
-            raise InvalidParameterError(f"{what} index outside [0, {bound})")
-    indptr, indices, entry = coo_pattern(rows * shape[1] + cols, shape)
+    # checked before keying: row * n + col would alias an out-of-range
+    # column with a neighbouring row
+    for what, idx in (("row", rows), ("column", cols)):
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise InvalidParameterError(f"{what} index outside [0, {n})")
+    indptr, indices, entry = coo_pattern(rows * n + cols, n)
     data = np.bincount(entry, weights=np.asarray(vals, dtype=np.float64),
                        minlength=indices.shape[0])
-    return CsrMatrix(indptr=indptr, indices=indices, data=data,
-                     n_rows=shape[0], n_cols=shape[1])
+    return CsrMatrix(indptr=indptr, indices=indices, data=data)
 
 
 def dense(a):
     """The stored entries of a CsrMatrix as a dense array."""
-    out = np.zeros((a.n_rows, a.n_cols))
+    out = np.zeros((a.n, a.n))
     rows, cols, vals = a.entries()
     out[rows, cols] = vals
     return out

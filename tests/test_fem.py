@@ -434,7 +434,7 @@ class TestAngleCondition:
         for r in range(1, 12):
             a[r, (r + 5) % 12] = (0.9, -0.3, 0.5)[r % 3]
         rows, cols = np.nonzero(a)
-        stiffness = csr_from_coo(rows, cols, a[rows, cols], a.shape)
+        stiffness = csr_from_coo(rows, cols, a[rows, cols], len(a))
         assert np.unique(stiffness._overflow[0]).tolist() == [0]
         report = check_angle_condition(stiffness)
         assert not report.passed and report.worst_offdiag == 0.9

@@ -20,8 +20,8 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 
 def run_config(**kw):
-    return RunConfig(integrator=IntegratorConfig(scheme="PC2", k=1e-3),
-                     field=EffectiveField(), **{"t_end": 1e-2, **kw})
+    return RunConfig(**{"integrator": IntegratorConfig(scheme="PC2", k=1e-3),
+                        "field": EffectiveField(), "t_end": 1e-2, **kw})
 
 
 class TestInitState:
@@ -257,6 +257,19 @@ class TestRunSimulation:
                                   0.25, 1.0, init_state(asm.mesh, "uniform"))
         assert (exc.value.scheme, exc.value.step, exc.value.k) == ("PC1", 2,
                                                                    0.5)
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(integrator="PC1"), "integrator must be an IntegratorConfig"),
+        (dict(integrator=None), "integrator must be an IntegratorConfig"),
+        (dict(field=None), "field must be an EffectiveField"),
+        (dict(field=Uniaxial(1.0, E3)), "field must be an EffectiveField"),
+    ], ids=["integrator_str", "integrator_none", "field_none",
+            "field_uniaxial"])
+    def test_run_config_holds_its_config_types(self, fields, match):
+        # a str integrator once raised AttributeError on .k, and a None
+        # field was accepted and failed inside the first trace row
+        with pytest.raises(ConfigError, match=match):
+            run_config(**fields)
 
     def test_t_end_must_be_multiple_of_k(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -17,14 +18,14 @@ from conftest import csr_from_coo, dense
 
 def dense_to_csr(a):
     rows, cols = np.nonzero(a)
-    return csr_from_coo(rows, cols, a[rows, cols], a.shape)
+    return csr_from_coo(rows, cols, a[rows, cols], len(a))
 
 
 def stored_order_loop(a, xc):
     """Reference product: each row summed from 0.0 in stored order."""
     _, cols, vals = a.entries()
-    y = np.empty(a.n_rows)
-    for i in range(a.n_rows):
+    y = np.empty(a.n)
+    for i in range(a.n):
         acc = 0.0
         for p in range(a.indptr[i], a.indptr[i + 1]):
             acc += vals[p] * xc[cols[p]]
@@ -36,49 +37,74 @@ def named_matrix(name, asm):
     if name == "empty_row":
         return CsrMatrix(indptr=np.array([0, 2, 2, 4]),
                          indices=np.array([0, 2, 0, 1]),
-                         data=np.array([0.1, 0.7, -0.3, 1.9]),
-                         n_rows=3, n_cols=3)
+                         data=np.array([0.1, 0.7, -0.3, 1.9]))
     if name == "one_row":
-        # numpy sums 8 or more terms pairwise along its fast axis
+        # numpy sums 8 or more terms pairwise along its fast axis; the one
+        # full row of a 24x24 matrix, past its W = 2 slots, overflows
         rng = np.random.Generator(np.random.Philox(7))
         return csr_from_coo(np.zeros(24), np.arange(24), rng.normal(size=24),
-                            (1, 24))
+                            24)
     if name == "long_row":
-        # a dense first row over 40 columns, far longer than twice the mean
-        # row length; the nine other rows hold 1-3 entries each
+        # a dense first row of a 40x40 matrix, far longer than twice the
+        # mean row length; the 39 other rows hold 1-3 entries each
         rng = np.random.Generator(np.random.Philox(6))
         rows, cols = [0] * 40, list(range(40))
-        for r in range(1, 10):
+        for r in range(1, 40):
             picked = np.sort(rng.choice(40, size=1 + r % 3, replace=False))
             rows += [r] * picked.size
             cols += picked.tolist()
-        return csr_from_coo(rows, cols, rng.normal(size=len(rows)), (10, 40))
+        return csr_from_coo(rows, cols, rng.normal(size=len(rows)), 40)
     return getattr(asm, name)
 
 
 @st.composite
 def coo_triplets(draw):
-    """Random triplets on a small shape, so duplicates and empty rows are
-    common; one-row and rectangular shapes included."""
-    n_rows = draw(st.integers(1, 8))
-    n_cols = draw(st.integers(1, 8))
+    """Random triplets of a small n x n matrix, so duplicates and empty
+    rows are common; n = 1 included."""
+    n = draw(st.integers(1, 8))
     k = draw(st.integers(0, 40))
-    rows = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n_rows - 1)))
-    cols = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n_cols - 1)))
+    rows = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
+    cols = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
     vals = draw(hnp.arrays(np.float64, k, elements=st.floats(-1e3, 1e3)))
-    return rows, cols, vals, (n_rows, n_cols)
+    return rows, cols, vals, n
 
 
 class TestCsrMatrix:
     def test_from_coo_sums_duplicates(self):
-        m = csr_from_coo([0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0], (2, 2))
+        m = csr_from_coo([0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0], 2)
         assert m.nnz == 2
         assert dense(m) == pytest.approx(np.array([[0.0, 5.0], [4.0, 0.0]]))
 
     def test_invalid_indptr(self):
-        with pytest.raises(InvalidParameterError):
-            CsrMatrix(indptr=np.array([0, 1]), indices=np.array([0]),
-                      data=np.array([1.0]), n_rows=2, n_cols=2)
+        # two offsets make a 1x1 matrix, which has no column 1
+        with pytest.raises(InvalidParameterError, match="in row 0$"):
+            CsrMatrix(indptr=np.array([0, 1]), indices=np.array([1]),
+                      data=np.array([1.0]))
+
+    def test_size_is_read_from_indptr(self):
+        a = named_matrix("empty_row", None)
+        assert a.n == 3 and dense(a).shape == (3, 3)
+        assert list(inspect.signature(CsrMatrix).parameters) == [
+            "indptr", "indices", "data"]
+        assert csr_from_coo([], [], [], 0).n == 0
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("indptr", np.array([[0, 2, 2, 4]]), "indptr must be int"),
+        ("indices", np.array([[0, 2, 0, 1]]), "indices must be int"),
+        ("indptr", np.array(4), "indptr must be int"),
+        ("indptr", [0, 2, 2, 4], "indptr must be int"),
+        ("indices", [0, 2, 0, 1], "indices must be int"),
+        ("indptr", np.array([], dtype=np.int64), "indptr must start at 0"),
+    ], ids=["2d_indptr", "2d_indices", "0d_indptr", "list_indptr",
+            "list_indices", "empty_indptr"])
+    def test_index_arrays_must_be_1d_ndarrays(self, name, value, match):
+        # a 2-d indptr once raised a bare TypeError, a 2-d indices a bare
+        # ValueError, a list indptr AttributeError; neither is cast
+        parts = dict(indptr=np.array([0, 2, 2, 4]),
+                     indices=np.array([0, 2, 0, 1]), data=np.ones(4))
+        parts[name] = value
+        with pytest.raises(InvalidParameterError, match=match):
+            CsrMatrix(**parts)
 
     @pytest.mark.parametrize("indptr, data, match", [
         ([1, 2, 2, 4], np.ones(4), "indptr must start at 0 and end at nnz"),
@@ -89,7 +115,7 @@ class TestCsrMatrix:
     def test_indptr_and_data_must_fit_indices(self, indptr, data, match):
         with pytest.raises(InvalidParameterError, match=match):
             CsrMatrix(indptr=np.array(indptr), indices=np.array([0, 2, 0, 1]),
-                      data=data, n_rows=3, n_cols=3)
+                      data=data)
 
     @pytest.mark.parametrize("indices", [
         [1, 0, 0, 2], [0, 0, 0, 2], [0, 1, -1, 2], [0, 1, 0, 3],
@@ -97,8 +123,7 @@ class TestCsrMatrix:
     def test_bad_column_indices(self, indices):
         with pytest.raises(InvalidParameterError):
             CsrMatrix(indptr=np.array([0, 2, 2, 4]),
-                      indices=np.array(indices), data=np.ones(4),
-                      n_rows=3, n_cols=3)
+                      indices=np.array(indices), data=np.ones(4))
 
     @pytest.mark.parametrize("name, value, match", [
         # a cast would truncate column 0.5 to 0
@@ -112,17 +137,17 @@ class TestCsrMatrix:
                      indices=np.array([0, 2, 0, 1]), data=np.ones(4))
         parts[name] = value
         with pytest.raises(InvalidParameterError, match=match):
-            CsrMatrix(**parts, n_rows=3, n_cols=3)
+            CsrMatrix(**parts)
 
     @pytest.mark.parametrize("rows, cols, vals", [
         ([0], [0, 1], [1.0]),
         ([0, 2], [0, 1], [1.0, 2.0]),
-        # keyed as row * n_cols + col, (1, -1) would alias (0, 1)
+        # keyed as row * n + col, (1, -1) would alias (0, 1)
         ([0, 1], [1, -1], [1.0, 2.0]),
     ], ids=["lengths_differ", "row_out_of_range", "col_aliases_row"])
     def test_from_coo_rejects_bad_triplets(self, rows, cols, vals):
         with pytest.raises(InvalidParameterError):
-            csr_from_coo(rows, cols, vals, (2, 2))
+            csr_from_coo(rows, cols, vals, 2)
 
     @pytest.mark.parametrize("matrix", ["stiffness", "mass", "empty_row",
                                         "one_row", "long_row"])
@@ -140,12 +165,12 @@ class TestCsrMatrix:
         a = named_matrix(matrix, build_assemblies(build_cube_mesh(2, 1.0)))
         indices, data = given[id(a)]
         rows, cols, vals = a.entries()
-        assert np.array_equal(rows, np.repeat(np.arange(a.n_rows),
+        assert np.array_equal(rows, np.repeat(np.arange(a.n),
                                               np.diff(a.indptr)))
         assert np.array_equal(cols, indices)
         assert vals.tobytes() == np.asarray(data, dtype=float).tobytes()
         assert not hasattr(a, "indices") and not hasattr(a, "data")
-        assert (matrix == "long_row") == (a._overflow[0].size > 0)
+        assert (matrix in ("one_row", "long_row")) == (a._overflow[0].size > 0)
 
     @pytest.mark.parametrize("indices, row", [
         ([0, 2, 1, 1], 2), ([0, 2, 3, 1], 2), ([2, 2, 0, 1], 0),
@@ -155,8 +180,7 @@ class TestCsrMatrix:
         # row 1 is empty, so entry 2 opens row 2
         with pytest.raises(InvalidParameterError, match=f"in row {row}$"):
             CsrMatrix(indptr=np.array([0, 2, 2, 4]),
-                      indices=np.array(indices), data=np.ones(4),
-                      n_rows=3, n_cols=3)
+                      indices=np.array(indices), data=np.ones(4))
 
     @pytest.mark.parametrize("name, dtype, indptr, indices, accepted", [
         ("indptr", np.uint64, [0, 2, 2, 4], [0, 2, 0, 1], False),
@@ -181,9 +205,9 @@ class TestCsrMatrix:
         parts[name] = parts[name].astype(dtype)
         if not accepted:
             with pytest.raises(InvalidParameterError):
-                CsrMatrix(**parts, n_rows=3, n_cols=3)
+                CsrMatrix(**parts)
             return
-        a = CsrMatrix(**parts, n_rows=3, n_cols=3)
+        a = CsrMatrix(**parts)
         b = named_matrix("empty_row", None)
         assert np.array_equal(a.entries()[1], b.entries()[1])
         x = np.array([1.5, -2.0, 0.25])
@@ -195,15 +219,15 @@ class TestCsrMatrix:
         # (n_blocks, W, B) arrays with no spare slot row behind them
         a = named_matrix(matrix, cube2_asm)
         lengths = np.diff(a.indptr)
-        n_blocks = -(-max(a.n_rows, 2) // ROW_BLOCK)
-        size = -(-max(a.n_rows, 2) // n_blocks)
+        n_blocks = -(-max(a.n, 2) // ROW_BLOCK)
+        size = -(-max(a.n, 2) // n_blocks)
         width = min(lengths.max(), 2 * a.nnz // (n_blocks * size))
         for p in a._ell:
             assert p.shape == (n_blocks, width, size)
             assert p.base is None and p.flags.c_contiguous
         rows, _, _ = a._overflow
         assert rows.tolist() == np.repeat(
-            np.arange(a.n_rows), np.maximum(lengths - width, 0)).tolist()
+            np.arange(a.n), np.maximum(lengths - width, 0)).tolist()
 
     def test_constructor_peak_memory_n16(self):
         # the plan is written slot by slot in each block, with no per-entry
@@ -213,8 +237,7 @@ class TestCsrMatrix:
         _, cols, vals = mass.entries()
         tracemalloc.start()
         try:
-            CsrMatrix(indptr=mass.indptr, indices=cols, data=vals,
-                      n_rows=mass.n_rows, n_cols=mass.n_cols)
+            CsrMatrix(indptr=mass.indptr, indices=cols, data=vals)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,7 +246,7 @@ class TestCsrMatrix:
     def test_empty_row_accepted(self):
         m = CsrMatrix(indptr=np.array([0, 2, 2, 4]),
                       indices=np.array([0, 2, 0, 1]),
-                      data=np.array([1.0, 2.0, 3.0, 4.0]), n_rows=3, n_cols=3)
+                      data=np.array([1.0, 2.0, 3.0, 4.0]))
         assert np.array_equal(dense(m), [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0],
                                             [3.0, 4.0, 0.0]])
 
@@ -235,7 +258,7 @@ class TestSpmv:
         assert spmv(a, x) == pytest.approx(x)
 
     def test_zero_matrix(self):
-        z = csr_from_coo([], [], [], (3, 3))
+        z = csr_from_coo([], [], [], 3)
         assert spmv(z, np.ones(3)) == pytest.approx(np.zeros(3))
 
     def test_hand_3x3(self):
@@ -284,7 +307,7 @@ class TestSpmv:
     def test_bitwise_equal_to_stored_order_loop(self, cube2_asm, matrix):
         a = named_matrix(matrix, cube2_asm)
         rng = np.random.Generator(np.random.Philox(5))
-        x = rng.normal(size=(a.n_cols, 3))
+        x = rng.normal(size=(a.n, 3))
         expected = np.column_stack([stored_order_loop(a, x[:, c])
                                     for c in range(3)])
         assert spmv(a, x).tobytes() == expected.tobytes()
@@ -293,7 +316,7 @@ class TestSpmv:
         assert a._ell[0].size <= 2 * a.nnz
 
     def test_overflow_sums_non_finite_products_silently(self):
-        # row 0's columns past its W = 11 slots are overflow entries; inf -
+        # row 0's columns past its W = 5 slots are overflow entries; inf -
         # inf and an overflowing product there warn no more than einsum
         # does on the plan (the suite turns warnings into errors)
         a = named_matrix("long_row", None)
@@ -304,15 +327,15 @@ class TestSpmv:
         assert np.isnan(expected[0])
         assert spmv(a, x).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n_rows", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
-    def test_row_blocks_bitwise_equal_to_stored_order_loop(self, n_rows):
+    @pytest.mark.parametrize("n", [ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_row_blocks_bitwise_equal_to_stored_order_loop(self, n):
         # 8-16 entries a row, so that a sum out of stored order shows; row
         # 5 is empty and the last but one, 200 long, overflows the padded
         # slots.  Cut into contiguous blocks of ROW_BLOCK rows, the last
         # block would hold the last row alone, and einsum would sum its
         # slots out of order.
         rng = np.random.Generator(np.random.Philox(9))
-        lengths = rng.integers(8, 17, size=n_rows)
+        lengths = rng.integers(8, 17, size=n)
         lengths[5], lengths[-2], lengths[-1] = 0, 200, 16
         indices = np.concatenate([np.sort(rng.choice(300, size=n,
                                                      replace=False))
@@ -320,10 +343,9 @@ class TestSpmv:
         a = CsrMatrix(indptr=np.concatenate(([0], np.cumsum(lengths))),
                       indices=indices,
                       data=rng.normal(size=indices.size)
-                      * 10.0 ** rng.uniform(-4, 4, indices.size),
-                      n_rows=n_rows, n_cols=300)
-        assert np.unique(a._overflow[0]).tolist() == [n_rows - 2]
-        x = rng.normal(size=(300, 4))  # the last column for the 1-D path
+                      * 10.0 ** rng.uniform(-4, 4, indices.size))
+        assert np.unique(a._overflow[0]).tolist() == [n - 2]
+        x = rng.normal(size=(n, 4))  # the last column for the 1-D path
         expected = np.column_stack([stored_order_loop(a, x[:, c])
                                     for c in range(4)])
         assert spmv(a, x[:, :3]).tobytes() == expected[:, :3].tobytes()
@@ -338,7 +360,7 @@ class TestSpmv:
         # the component-major predictor passes x.reshape(3, n).T
         a = named_matrix(matrix, cube2_asm)
         rng = np.random.Generator(np.random.Philox(6))
-        x = rng.normal(size=(a.n_cols, 3))
+        x = rng.normal(size=(a.n, 3))
         xf = np.asfortranarray(x)
         assert np.array_equal(spmv(a, xf), spmv(a, x))
         assert spmv(a, xf).flags.f_contiguous
@@ -355,11 +377,11 @@ class TestSpmv:
         a = named_matrix(matrix, cube2_asm)
         rows, cols, _ = a.entries()
         rng = np.random.Generator(np.random.Philox(8))
-        for col in range(a.n_cols):
-            x = rng.normal(size=a.n_cols)
+        for col in range(a.n):
+            x = rng.normal(size=a.n)
             x[col] = np.inf
             y = spmv(a, x)
-            clean = ~np.isin(np.arange(a.n_rows), rows[cols == col])
+            clean = ~np.isin(np.arange(a.n), rows[cols == col])
             assert np.all(np.isfinite(y[clean]))
             np.testing.assert_array_equal(y, stored_order_loop(a, x))
 
@@ -368,22 +390,21 @@ class TestCsrProperties:
     @settings(deadline=None)
     @given(coo_triplets())
     def test_from_coo_equals_dense_accumulation(self, triplets):
-        rows, cols, vals, shape = triplets
-        expected = np.zeros(shape)
+        rows, cols, vals, n = triplets
+        expected = np.zeros((n, n))
         np.add.at(expected, (rows, cols), vals)
         assert np.array_equal(
-            dense(csr_from_coo(rows, cols, vals, shape)), expected)
+            dense(csr_from_coo(rows, cols, vals, n)), expected)
 
     @settings(deadline=None)
     @given(coo_triplets())
     def test_entries_are_the_constructor_input(self, triplets):
-        rows, cols, vals, shape = triplets
-        indptr, indices, entry = coo_pattern(rows * shape[1] + cols, shape)
+        rows, cols, vals, n = triplets
+        indptr, indices, entry = coo_pattern(rows * n + cols, n)
         data = np.bincount(entry, weights=vals, minlength=indices.shape[0])
-        a = CsrMatrix(indptr=indptr, indices=indices, data=data,
-                      n_rows=shape[0], n_cols=shape[1])
+        a = CsrMatrix(indptr=indptr, indices=indices, data=data)
         rows, cols, vals = a.entries()
-        assert np.array_equal(rows, np.repeat(np.arange(shape[0]),
+        assert np.array_equal(rows, np.repeat(np.arange(n),
                                               np.diff(indptr)))
         assert np.array_equal(cols, indices)
         assert vals.tobytes() == data.tobytes()
@@ -391,9 +412,9 @@ class TestCsrProperties:
     @settings(deadline=None)
     @given(coo_triplets(), st.data())
     def test_spmv_bitwise_equal_to_stored_order_loop(self, triplets, data):
-        rows, cols, vals, shape = triplets
-        a = csr_from_coo(rows, cols, vals, shape)
-        x = data.draw(hnp.arrays(np.float64, (a.n_cols, 3),
+        rows, cols, vals, n = triplets
+        a = csr_from_coo(rows, cols, vals, n)
+        x = data.draw(hnp.arrays(np.float64, (a.n, 3),
                                  elements=st.floats(-1e3, 1e3)))
         expected = np.column_stack([stored_order_loop(a, x[:, c])
                                     for c in range(3)])

@@ -475,6 +475,22 @@ class TestStep:
             step(state, IntegratorConfig(scheme=scheme, k=1e-3),
                  EffectiveField(), cube2_asm)
 
+    @pytest.mark.parametrize("ell", [1.5, True, -1, "a", None],
+                             ids=["float", "bool", "negative", "str", "none"])
+    def test_step_index_must_be_integer_ge_0(self, cube2_asm, ell):
+        # 1.5 once stepped to 2.5, True to 2 and -1 to 0; "a" and None
+        # raised a bare TypeError
+        state = SimState(ell=ell, m_curr=uniform_field(cube2_asm.n))
+        with pytest.raises(InvalidParameterError, match="ell must be an int"):
+            step(state, IntegratorConfig(scheme="PC1", k=1e-3),
+                 EffectiveField(), cube2_asm)
+
+    def test_numpy_integer_step_index_accepted(self, cube2_asm):
+        state = SimState(ell=np.int64(3), m_curr=uniform_field(cube2_asm.n))
+        out = step(state, IntegratorConfig(scheme="PC1", k=1e-3),
+                   EffectiveField(), cube2_asm)
+        assert out.ell == 4
+
     def test_list_fields_step_as_arrays(self, cube2_asm):
         # a list m_curr once raised AttributeError from the nodal blocks
         fld = EffectiveField(uniaxial=Uniaxial(1.0, E3))

@@ -51,7 +51,7 @@ def test_public_surface_is_pinned():
 @pytest.mark.parametrize("make", [
     lambda: llgpc.build_cube_mesh(1, 1.0),
     lambda: llgpc.build_assemblies(llgpc.build_cube_mesh(1, 1.0)),
-    lambda: csr_from_coo([0, 1], [1, 0], [1.0, 2.0], (2, 2)),
+    lambda: csr_from_coo([0, 1], [1, 0], [1.0, 2.0], 2),
     lambda: llgpc.Uniaxial(1.0, np.array([0.0, 0.0, 1.0])),
     lambda: llgpc.EffectiveField(applied=np.ones(3)),
     lambda: llgpc.SimState(ell=0, m_curr=np.ones((8, 3))),
