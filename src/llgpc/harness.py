@@ -54,12 +54,7 @@ def init_state(mesh: Mesh, kind: str, seed: int = 0) -> np.ndarray:
     if kind == "random":
         rng = np.random.Generator(np.random.Philox(seed))
         g = rng.normal(size=(n, 3))
-        mods = np.linalg.norm(g, axis=1)
-        while np.any(mods < 1e-8):  # pragma: no cover - measure-zero event
-            bad = mods < 1e-8
-            g[bad] = rng.normal(size=(int(bad.sum()), 3))
-            mods = np.linalg.norm(g, axis=1)
-        return g / mods[:, None]
+        return g / np.linalg.norm(g, axis=1)[:, None]
     if kind == "hedgehog":
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)

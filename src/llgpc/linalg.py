@@ -60,6 +60,8 @@ class CsrMatrix:
             row = np.searchsorted(self.indptr, np.argmax(bad), "right") - 1
             raise InvalidParameterError(f"bad column indices in row {row}")
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "indptr", self.indptr.astype(np.int64))
+        self.indptr.flags.writeable = False  # the plan was built from it
         lengths = np.diff(self.indptr)
         n_blocks = -(-max(n, 2) // ROW_BLOCK)
         size = -(-max(n, 2) // n_blocks)  # rows per block, >= 2

@@ -130,24 +130,17 @@ class SimState:
     predictor_iterations: int = 0
 
 
-def ph_pi(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray):
-    """P_h pi(w) = c beta^{-1} M (w.e) e for the uniaxial pi(w) = c (w.e) e:
-    pi has rank one, so one scalar mass product."""
-    u = field_cfg.uniaxial
-    return np.outer(u.c * apply_Ph(asm.mass, asm.beta, w @ u.axis), u.axis)
-
-
 def lower_field(asm: Assemblies, field_cfg: EffectiveField, w: np.ndarray,
-                t: float) -> Optional[np.ndarray]:
-    """P_h(pi(w) + f(t)) for a P1 field w; None if h_eff has neither."""
+                t: float) -> np.ndarray | float:
+    """P_h(pi(w) + f(t)), the term every scheme adds to an (N, 3) field:
+    (N, 3) if pi is set, else f(t) (P_h of a constant is itself), else
+    0.0.  pi(w) = c (w.e) e has rank one: one scalar mass product."""
+    u = field_cfg.uniaxial
     f = field_cfg.f_at(t)
-    if field_cfg.uniaxial is None and f is None:
-        return None
-    h = (ph_pi(asm, field_cfg, w) if field_cfg.uniaxial is not None
-         else np.zeros_like(w))  # P_h 0 = 0 without a mass product
-    if f is not None:
-        h = h + f  # P_h of a constant is the constant itself
-    return h
+    if u is None:
+        return 0.0 if f is None else f
+    h = np.outer(u.c * apply_Ph(asm.mass, asm.beta, w @ u.axis), u.axis)
+    return h if f is None else h + f
 
 
 def energy(asm: Assemblies, field_cfg: EffectiveField, m: np.ndarray,
@@ -193,10 +186,11 @@ def exchange_field(asm: Assemblies, field_cfg: EffectiveField,
 
 
 def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveField,
-                   asm: Assemblies, h_lower: Optional[np.ndarray] = None,
+                   asm: Assemblies, h_lower: np.ndarray | float = 0.0,
                    implicit_pi: bool = False):
     """Solve the 3N predictor system with GMRES; returns (v, iterations).
-    With implicit_pi the operator also carries theta k P_h pi(v).
+    H0 is the exchange field plus h_lower, a lower_field value (0.0 for
+    none).  With implicit_pi the operator also carries theta k P_h pi(v).
 
     One nodal block B1 = damped_cross_block(m, a) maps h to
     m x h + a m x (m x h).  It gives the right-hand side -B1 H0, and
@@ -215,9 +209,7 @@ def predictor_full(m: np.ndarray, cfg: IntegratorConfig, field_cfg: EffectiveFie
     a = cfg.alpha
     c_ex = field_cfg.ell_ex ** 2 * cfg.theta * cfg.k
 
-    h0 = exchange_field(asm, field_cfg, m)
-    if h_lower is not None:
-        h0 = h0 + h_lower
+    h0 = exchange_field(asm, field_cfg, m) + h_lower
     block = damped_cross_block(m, a)
     rhs = -np.einsum("ijz,jz->iz", block, h0.T)
     block *= -c_ex / asm.beta  # B1 becomes the operator block B, in place
@@ -268,10 +260,8 @@ def corrector_pc2(m: np.ndarray, v: np.ndarray, cfg: IntegratorConfig,
     """
     a2 = 1.0 + cfg.alpha ** 2
     u = m + 0.5 * cfg.k * v
-    f_mid = exchange_field(asm, field_cfg, u)
-    h_lower = lower_field(asm, field_cfg, u, t + 0.5 * cfg.k)
-    if h_lower is not None:
-        f_mid = f_mid + h_lower
+    f_mid = (exchange_field(asm, field_cfg, u)
+             + lower_field(asm, field_cfg, u, t + 0.5 * cfg.k))
     c = 0.5 * cfg.k * (f_mid + cfg.alpha * nodal_cross(u, f_mid))
     # (a I - [c]_x)^{-1} = (a^2 I + a [c]_x + c c^T) / (a (a^2 + |c|^2))
     csq = np.einsum("ij,ij->i", c, c)

@@ -8,8 +8,6 @@ solve both and compare.  Call the oracle through this module
 recorder, which wraps the module attribute, sees every solve.
 """
 
-from typing import Optional
-
 import numpy as np
 
 from llgpc.errors import InvalidParameterError
@@ -49,7 +47,7 @@ def tangent_basis(u: np.ndarray):
 
 def predictor_tangent(m: np.ndarray, cfg: IntegratorConfig,
                       field_cfg: EffectiveField, asm: Assemblies,
-                      h_lower: Optional[np.ndarray] = None):
+                      h_lower: np.ndarray | float = 0.0):
     """Solve the equivalent tangent-space predictor system.
 
     Unknowns are per-node 2D coordinates in the nodal tangent frame, so the
@@ -88,9 +86,7 @@ def predictor_tangent(m: np.ndarray, cfg: IntegratorConfig,
         w = a * v + mxv - c_ex * lap
         return project(w)
 
-    h0 = exchange_field(asm, field_cfg, m)
-    if h_lower is not None:
-        h0 = h0 + h_lower
+    h0 = exchange_field(asm, field_cfg, m) + h_lower
     rhs = project(h0)
 
     res = gmres(apply, rhs, rtol=cfg.lin_tol)

@@ -37,6 +37,11 @@ class TestInitState:
         assert np.array_equal(m1, m2)
         assert np.abs(np.linalg.norm(m1, axis=1) - 1.0).max() <= 1e-15
         assert not np.array_equal(m1, init_state(mesh, "random", seed=6))
+        # the draw is pinned: Gaussian triples of Philox(seed), normalised
+        g = np.random.Generator(np.random.Philox(5)).normal(
+            size=(mesh.n_vertices, 3))
+        g /= np.linalg.norm(g, axis=1)[:, None]
+        assert m1.tobytes() == g.tobytes()
 
     def test_hedgehog_corner_and_origin(self):
         mesh = build_cube_mesh(2, 1.0)  # centered at origin

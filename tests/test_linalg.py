@@ -81,6 +81,20 @@ class TestCsrMatrix:
             CsrMatrix(indptr=np.array([0, 1]), indices=np.array([1]),
                       data=np.array([1.0]))
 
+    def test_owns_its_indptr(self):
+        # the plan is built from indptr: a caller's later write to its own
+        # array once made entries() read the padding column 3 as 0.0
+        indptr = np.array([0, 2, 2, 4], dtype=np.int32)
+        a = CsrMatrix(indptr=indptr, indices=np.array([0, 2, 0, 1]),
+                      data=np.array([1.0, 2.0, 3.0, 4.0]))
+        before = a.entries()
+        indptr[1] = 1
+        for got, want in zip(a.entries(), before):
+            assert got.tolist() == want.tolist()
+        assert a.indptr.tolist() == [0, 2, 2, 4]
+        assert a.indptr.dtype == np.int64 and not a.indptr.flags.writeable
+        assert spmv(a, np.ones(3)).tolist() == [3.0, 0.0, 7.0]
+
     def test_size_is_read_from_indptr(self):
         a = named_matrix("empty_row", None)
         assert a.n == 3 and dense(a).shape == (3, 3)

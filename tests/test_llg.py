@@ -10,7 +10,7 @@ from llgpc.errors import (InvalidParameterError, NoConvergenceError,
 from llgpc.fem import apply_Ph, discrete_laplacian, grad_sq, inner_l2
 from llgpc.llg import (EffectiveField, IntegratorConfig, SimState, Uniaxial,
                        corrector_pc2, corrector_project, damped_cross_block,
-                       energy, lower_field, ph_pi, predictor_full,
+                       energy, lower_field, predictor_full,
                        predictor_fully_implicit, step)
 
 import tangent_oracle
@@ -110,20 +110,21 @@ class TestPhPi:
     def test_aligned_with_axis(self, cube2_asm):
         fld = EffectiveField(uniaxial=Uniaxial(2.0, E3))
         m = uniform_field(cube2_asm.n, E3)
-        assert ph_pi(cube2_asm, fld, m) == pytest.approx(2.0 * m)
+        assert lower_field(cube2_asm, fld, m, 0.0) == pytest.approx(2.0 * m)
 
     def test_orthogonal_to_axis(self, cube2_asm):
         fld = EffectiveField(uniaxial=Uniaxial(2.0, E3))
         m = uniform_field(cube2_asm.n, (1.0, 0.0, 0.0))
-        assert np.abs(ph_pi(cube2_asm, fld, m)).max() == 0.0
+        assert np.abs(lower_field(cube2_asm, fld, m, 0.0)).max() == 0.0
 
     def test_self_adjoint(self, cube2_asm):
         fld = EffectiveField(uniaxial=Uniaxial(1.5, E3))
         u = random_unit_field(cube2_asm.n, 41)
         w = random_unit_field(cube2_asm.n, 42)
-        assert inner_h(cube2_asm.beta, ph_pi(cube2_asm, fld, u),
-                       w) == pytest.approx(
-            inner_h(cube2_asm.beta, u, ph_pi(cube2_asm, fld, w)), rel=1e-12)
+        pu = lower_field(cube2_asm, fld, u, 0.0)
+        pw = lower_field(cube2_asm, fld, w, 0.0)
+        assert inner_h(cube2_asm.beta, pu, w) == pytest.approx(
+            inner_h(cube2_asm.beta, u, pw), rel=1e-12)
 
     def test_matches_three_column_mass_product(self, cube2_asm):
         c, axis = 2.5, np.array([1.0, -2.0, 2.0]) / 3.0
@@ -132,8 +133,44 @@ class TestPhPi:
         w = rng.normal(size=(cube2_asm.n, 3))
         ref = apply_Ph(cube2_asm.mass, cube2_asm.beta,
                        c * np.outer(w @ axis, axis))
-        out = ph_pi(cube2_asm, fld, w)
+        out = lower_field(cube2_asm, fld, w, 0.0)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestLowerField:
+    """lower_field is always a term to add to an (N, 3) field."""
+
+    def test_neither_term_is_zero(self, cube2_asm):
+        fld = EffectiveField()
+        m = random_unit_field(cube2_asm.n, 44)
+        out = lower_field(cube2_asm, fld, m, 0.3)
+        assert type(out) is float and out == 0.0
+        cfg = IntegratorConfig(scheme="PC1_IMEX", k=1e-2)
+        v, _ = predictor_full(m, cfg, fld, cube2_asm, h_lower=out)
+        v0, _ = predictor_full(m, cfg, fld, cube2_asm)
+        assert v.tobytes() == v0.tobytes()
+
+    @pytest.mark.parametrize("applied", [np.array([0.1, -0.2, 0.3]),
+                                         swirl_field], ids=["const", "f_t"])
+    def test_applied_only_is_f(self, cube2_asm, applied):
+        fld = EffectiveField(applied=applied)
+        w = random_unit_field(cube2_asm.n, 45)
+        out = lower_field(cube2_asm, fld, w, 0.3)
+        assert out.shape == (3,)
+        assert out.tobytes() == fld.f_at(0.3).tobytes()
+
+    @pytest.mark.parametrize("fld", [
+        EffectiveField(), EffectiveField(applied=np.array([0.1, -0.2, 0.3]))],
+        ids=["none", "applied"])
+    def test_predictor_adds_it_as_given(self, cube2_asm, fld):
+        cfg = IntegratorConfig(scheme="PC1_IMEX", k=1e-2)
+        m = random_unit_field(cube2_asm.n, 46)
+        h = lower_field(cube2_asm, fld, m, 0.3)
+        v, _ = predictor_full(m, cfg, fld, cube2_asm, h_lower=h)
+        # 0.0 or f(t) adds as the full (N, 3) array it stands for would
+        full = np.broadcast_to(h, m.shape).copy()
+        v_full, _ = predictor_full(m, cfg, fld, cube2_asm, h_lower=full)
+        assert v.tobytes() == v_full.tobytes()
 
 
 class TestEnergy:
@@ -317,8 +354,8 @@ class TestPredictors:
         assert v.shape == (n, 3) and v.flags.c_contiguous
 
         lap = -dense(asm.stiffness) / asm.beta[:, None]
-        ph_pi_dense = np.kron(dense(asm.mass) / asm.beta[:, None],
-                              c * np.outer(axis, axis))
+        ph_aniso_dense = np.kron(dense(asm.mass) / asm.beta[:, None],
+                                 c * np.outer(axis, axis))
         mx = np.zeros((3 * n, 3 * n))
         for z, (m0, m1, m2) in enumerate(m):
             mx[3 * z:3 * z + 3, 3 * z:3 * z + 3] = [[0.0, -m2, m1],
@@ -327,7 +364,7 @@ class TestPredictors:
         cross = mx + cfg.alpha * mx @ mx
         lap3 = np.kron(lap, np.eye(3))
         a = ((1 + cfg.alpha ** 2) * np.eye(3 * n) + ell ** 2 * cfg.theta
-             * cfg.k * cross @ (lap3 + ph_pi_dense / ell ** 2))
+             * cfg.k * cross @ (lap3 + ph_aniso_dense / ell ** 2))
         b = -cross @ (ell ** 2 * lap3 @ m.reshape(-1))
         x = v.reshape(-1)
         assert np.linalg.norm(b - a @ x) <= cfg.lin_tol * np.linalg.norm(b)
