@@ -158,12 +158,13 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
                    observe: Optional[Callable] = None) -> RunResult:
     """Step from m0 to t_end, recording a trace every `stride` steps.
 
-    Relax mode stops once ||grad m||^2 <= 1e-8.  With stability monitoring
-    on, any increase of ||grad m||^2 aborts the run with status 'unstable'.
+    Every step index, step 0 included, passes one rule: it is observed,
+    recorded on the stride and at the last step, and its status checked:
+    relax mode stops once ||grad m||^2 <= 1e-8, and with stability
+    monitoring on any rise of ||grad m||^2 aborts the run as 'unstable'.
     Solver failures terminate the run with the partial trace intact.  An
     m0 that is not a finite unit field is rejected before any step.
-    `observe(state)`, if given, sees the step-0 state and the state after
-    every step that succeeds, in step order; a failed step is not observed.
+    `observe(state)`, if given, sees each state that is reached, in order.
     """
     k = cfg.integrator.k
     t0 = time.perf_counter()
@@ -173,22 +174,9 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
     if not abs(mods[z] - 1.0) <= UNIT_TOL:  # also true for NaN and inf
         raise InvalidParameterError(
             f"m0 must be a unit field: |m0({z})| = {float(mods[z])!r}")
-    gsq_prev = grad_sq(asm.stiffness, state.m_curr)
-    trace = [_row(asm, cfg, state, t0, gsq_prev)]
-    if observe is not None:
-        observe(state)
-
-    if cfg.relax and gsq_prev <= RELAX_GRAD_SQ_TOL:
-        return RunResult(state=state, trace=trace, status="relaxed")
-
-    for _ in range(cfg.n_steps):
-        try:
-            state = step(state, cfg.integrator, cfg.field, asm)
-        except LlgpcError as exc:
-            err = SolverFailure(cfg.integrator.scheme, state.ell + 1, k,
-                                state.ell * k, exc)
-            return RunResult(state=state, trace=trace, status="failed",
-                             error=err)
+    trace = []
+    gsq_prev = np.inf  # step 0 has no step before it to rise above
+    while True:
         if observe is not None:
             observe(state)
         record = state.ell % cfg.stride == 0 or state.ell == cfg.n_steps
@@ -202,7 +190,15 @@ def run_simulation(asm: Assemblies, cfg: RunConfig, m0: np.ndarray,
             if status:
                 return RunResult(state=state, trace=trace, status=status)
             gsq_prev = gsq
-    return RunResult(state=state, trace=trace, status="completed")
+        if state.ell == cfg.n_steps:
+            return RunResult(state=state, trace=trace, status="completed")
+        try:
+            state = step(state, cfg.integrator, cfg.field, asm)
+        except LlgpcError as exc:
+            err = SolverFailure(cfg.integrator.scheme, state.ell + 1, k,
+                                state.ell * k, exc)
+            return RunResult(state=state, trace=trace, status="failed",
+                             error=err)
 
 
 def trace_to_csv(trace: Sequence[TraceRow]) -> str:
@@ -237,31 +233,21 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
                           ) -> List[ConvergenceResult]:
     """Self-convergence against a fine-step constraint-preserving reference.
 
-    The reference uses the midpoint corrector scheme at step size k_ref;
-    every study step size must be an integer multiple of k_ref so that
-    errors can be compared at shared time nodes.  The error for each k is
-    the maximum H1-norm difference over all its time nodes, taken as the
-    run steps, so the study holds only the reference's node states.  Every
-    run's config is built, and so checked, before the first run starts.  A
-    run that fails raises its SolverFailure.
+    The reference uses the midpoint corrector scheme at step size k_ref.
+    Every run's config, and so its step count under RunConfig's rule, is
+    checked before the first run starts; each study step count must divide
+    the reference's, and the quotient is the step ratio at which their time
+    nodes meet.  The error for each k is the maximum H1-norm difference over
+    all its time nodes, taken as the run steps, so the study holds only the
+    reference's node states.  A run that fails raises its SolverFailure.
     """
-    check_real(k_ref, "k_ref", positive=True, error=ConfigError)
     check_real(t_end, "t_end", positive=True, error=ConfigError)
-    check_real(t_end / k_ref, "step count t_end / k_ref", error=ConfigError)
-    for k in ks:
-        check_real(k, "k", positive=True, error=ConfigError)
+    for k, what in [(k_ref, "k_ref")] + [(k, "k") for k in ks]:
+        check_real(k, what, positive=True, error=ConfigError)
+        check_real(t_end / k, f"step count t_end / {what}", error=ConfigError)
     ks = sorted(set(float(k) for k in ks), reverse=True)
     if not ks or not len(schemes):
         raise ConfigError("a convergence study needs a scheme and a k")
-    ratios = []
-    for k in ks:
-        ratio = k / k_ref
-        check_real(ratio, "step ratio k / k_ref", error=ConfigError)
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError(
-                f"k={k} is not an integer multiple of k_ref={k_ref}"
-            )
-        ratios.append(round(ratio))
 
     def config(scheme, k):  # a trace row at t = 0 and t = t_end only
         return RunConfig(
@@ -270,11 +256,14 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
             field=field_cfg, t_end=t_end, stride=max(int(round(t_end / k)), 1))
 
     ref_cfg = config("PC2", k_ref)
-    grid = [[(config(scheme, k), ratio) for k, ratio in zip(ks, ratios)]
-            for scheme in schemes]
+    grid = [[config(scheme, k) for k in ks] for scheme in schemes]
+    for cfg in grid[0]:
+        if ref_cfg.n_steps % cfg.n_steps:
+            raise ConfigError(f"k={cfg.integrator.k} is not an integer "
+                              f"multiple of k_ref={k_ref}")
     # reference states at the union of every study run's time nodes
-    ref_states = dict.fromkeys(j * ratio for row in grid for cfg, ratio in row
-                               for j in range(cfg.n_steps + 1))
+    ref_states = dict.fromkeys(j for cfg in grid[0] for j in range(
+        0, ref_cfg.n_steps + 1, ref_cfg.n_steps // cfg.n_steps))
 
     def keep(state):
         if state.ell in ref_states:
@@ -288,7 +277,8 @@ def run_convergence_study(asm: Assemblies, field_cfg: EffectiveField,
     for scheme, row in zip(schemes, grid):
         t_start = time.perf_counter()
         errors = []
-        for cfg, ratio in row:
+        for cfg in row:
+            ratio = ref_cfg.n_steps // cfg.n_steps
             h1 = []  # one H1 error per time node, in step order
             res = run_simulation(asm, cfg, m0, lambda state: h1.append(
                 h1_norm(asm.mass, asm.stiffness,

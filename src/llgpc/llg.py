@@ -27,7 +27,7 @@ raises NonFiniteStateError.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,9 +58,11 @@ class Uniaxial:
 
 
 def _field_vector(f, what: str) -> np.ndarray:
-    f = real_array(f, what, (3,))
+    """A read-only copy of a finite real 3-vector."""
+    f = real_array(f, what, (3,)).copy()
     if not np.all(np.isfinite(f)):
         raise InvalidParameterError(f"{what} must be finite, got {f.tolist()}")
+    f.flags.writeable = False
     return f
 
 
@@ -280,10 +282,8 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
     m = real_array(state.m_curr, "m_curr", (asm.n, 3))
     check_int(state.ell, "ell", 0)
     t = state.ell * cfg.k
-    if cfg.scheme == "PC2_IMEX" and state.ell == 0:
-        # preprocessing step: one PC2 step supplies a second-order m^1
-        cfg = replace(cfg, scheme="PC2")
-    scheme = cfg.scheme
+    # PC2_IMEX's preprocessing step: one PC2 step supplies a second-order m^1
+    scheme = "PC2" if cfg.scheme == "PC2_IMEX" and state.ell == 0 else cfg.scheme
 
     if scheme in ("PC1", "PC2"):
         v, iters = predictor_fully_implicit(m, cfg, field_cfg, asm, t)

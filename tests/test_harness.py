@@ -96,6 +96,16 @@ class TestRunSimulation:
         res = run_simulation(asm, cfg, init_state(asm.mesh, "random", seed=2))
         assert res.status == "unstable"
 
+    def test_status_at_the_last_step_wins_over_completed(self):
+        # the run's last step index passes the same status rule as the rest
+        asm = cube_asm(4, edge=0.4)
+        cfg = RunConfig(
+            integrator=IntegratorConfig(scheme="PC2", k=1e-2, theta=0.0),
+            field=EffectiveField(), t_end=0.02, monitor_stability=True)
+        res = run_simulation(asm, cfg, init_state(asm.mesh, "random", seed=2))
+        assert (res.status, res.state.ell) == ("unstable", 2)
+        assert [row.ell for row in res.trace] == [0, 1, 2]
+
     def test_trace_times_monotone_and_stride(self):
         asm = cube_asm(1)
         cfg = RunConfig(integrator=IntegratorConfig(scheme="PC1", k=1e-3),
@@ -300,7 +310,8 @@ class TestRunSimulation:
                                               [1e-3], 1e-3, np.inf, m0),
         lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
                                               [np.inf], 1e-3, 1e-2, m0),
-        # t_end / k, t_cap / k, t_end / k_ref and k / k_ref overflow to inf
+        # t_end / k, t_cap / k and t_end / k_ref overflow to inf, or k is
+        # longer than the whole run
         lambda asm, m0: RunConfig(
             integrator=IntegratorConfig(scheme="PC2", k=1e-320),
             field=EffectiveField(), t_end=1.0),
@@ -310,10 +321,12 @@ class TestRunSimulation:
                                               [1.0], 1e-320, 1.0, m0),
         lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
                                               [1e10], 1e-300, 1.0, m0),
+        lambda asm, m0: run_convergence_study(asm, EffectiveField(), ["PC2"],
+                                              [1e-320], 1e-3, 1.0, m0),
     ], ids=["t_end_inf", "t_end_nan", "t_end_zero_steps", "stride_float",
             "stride_str", "t_cap_inf", "sweep_k_0", "k_ref_0", "k_ref_nan",
             "study_t_end_inf", "study_k_inf", "run_k_tiny", "sweep_k_tiny",
-            "study_k_ref_tiny", "study_k_over_k_ref_inf"])
+            "study_k_ref_tiny", "study_k_over_k_ref_inf", "study_k_tiny"])
     def test_bad_run_length_rejected(self, start):
         asm = cube_asm(1)
         with pytest.raises(ConfigError):
@@ -336,6 +349,13 @@ class TestRunSimulation:
         (lambda asm, m0: run_convergence_study(
             asm, EffectiveField(), ["PC2"], [3e-3], 1e-3, 1e-2, m0),
          "t_end must be an integer multiple of k"),
+        # each run's step count is checked before the ratio of the counts
+        (lambda asm, m0: run_convergence_study(
+            asm, EffectiveField(), ["PC2"], [3e-3], 2e-3, 1e-2, m0),
+         "t_end must be an integer multiple of k"),
+        (lambda asm, m0: run_convergence_study(
+            asm, EffectiveField(), ["PC2"], [3e-3], 2e-3, 1.2e-2, m0),
+         r"k=0.003 is not an integer multiple of k_ref=0.002"),
         (lambda asm, m0: run_stability_sweep(
             asm, EffectiveField(), "PC2", [0.5, 1.5], [1e-3], m0, t_cap=1e-2),
          "theta must lie in"),
@@ -357,6 +377,8 @@ class TestRunSimulation:
             asm, EffectiveField(), "PC2", [0.5], [], m0, t_cap=1e-2),
          "needs a theta and a k"),
     ], ids=["study_unknown_second_scheme", "study_t_end_not_multiple_of_k",
+            "study_t_end_not_multiple_of_k_before_k_ref",
+            "study_step_counts_not_multiples",
             "sweep_second_theta_above_1", "sweep_second_k_0",
             "study_no_scheme", "study_no_k", "sweep_no_theta", "sweep_no_k"])
     def test_study_and_sweep_check_every_run_before_the_first(
@@ -526,6 +548,29 @@ class TestConvergence:
         with pytest.raises(ConfigError):
             run_convergence_study(asm, EffectiveField(), ["PC2"], [1e-3],
                                   3e-4, 1e-2, init_state(asm.mesh, "uniform"))
+
+    def test_ratio_is_the_quotient_of_the_step_counts(self):
+        # k / k_ref is 7.2e-9 off 4, but RunConfig takes both run lengths
+        # as whole step counts, 2 and 8: the study compares at ratio 4
+        asm = cube_asm(1)
+        fld = EffectiveField(applied=np.array([0.0, 1.0, 0.0]))
+        m0 = init_state(asm.mesh, "random", seed=1)
+        k, k_ref, t_end = 4e-3 * (1 - 0.9e-9), 1e-3 * (1 + 0.9e-9), 8e-3
+        (res,) = run_convergence_study(asm, fld, ["PC1"], [k], k_ref, t_end,
+                                       m0)
+
+        def states(scheme, k):
+            seen = []
+            run_simulation(asm, RunConfig(
+                integrator=IntegratorConfig(scheme=scheme, k=k),
+                field=fld, t_end=t_end), m0, lambda s: seen.append(s.m_curr))
+            return seen
+
+        ref, run = states("PC2", k_ref), states("PC1", k)
+        assert (len(ref), len(run)) == (9, 3)
+        assert res.errors == [max(
+            fem.h1_norm(asm.mass, asm.stiffness, m - ref[4 * j])
+            for j, m in enumerate(run))]
 
     def test_orders_on_small_problem(self):
         asm = cube_asm(2)

@@ -89,6 +89,20 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             EffectiveField(applied=np.array(applied))
 
+    @pytest.mark.parametrize("make,read", [
+        (lambda v: Uniaxial(1.0, v), lambda held: held.axis),
+        (lambda v: EffectiveField(applied=v), lambda held: held.f_at(0.0)),
+    ], ids=["anisotropy_axis", "applied"])
+    def test_field_vector_is_a_read_only_copy(self, make, read):
+        # the caller's array was kept: a later write to it took the axis
+        # off the unit sphere, or made f_at return inf
+        v = E3.copy()
+        held = make(v)
+        v[2] = np.inf
+        assert read(held).tolist() == [0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            read(held)[2] = 5.0
+
     @pytest.mark.parametrize("make", [
         lambda v: Uniaxial(1.0, v),
         lambda v: EffectiveField(applied=v),
