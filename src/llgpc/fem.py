@@ -71,7 +71,10 @@ class Assemblies:
     mesh: Mesh
     stiffness: CsrMatrix
     mass: CsrMatrix
-    beta: np.ndarray
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.mesh.beta  # read-only, one per mesh
 
     @property
     def n(self) -> int:
@@ -83,11 +86,10 @@ class Assemblies:
 
 
 def build_assemblies(mesh: Mesh) -> Assemblies:
-    """Stiffness, consistent mass and lumped weights, in blocks of tets.
+    """Stiffness and consistent mass, in blocks of tets; beta is the mesh's.
 
     - A_{z,z'} = <grad phi_{z'}, grad phi_z>: symmetric, zero row sums.
     - M_{z,z'} = <phi_{z'}, phi_z>: element matrix V/20 * (1 + delta_ij).
-    - beta_z = sum over incident tets of V/4.
     One stable sort of the keys min * n + max of every tet's 6 edges gives
     the strictly upper pattern; every vertex is in a tet, so the diagonal
     needs no key.  Per block of mesh.TET_BLOCK tets, the gradients
@@ -123,9 +125,7 @@ def build_assemblies(mesh: Mesh) -> Assemblies:
     stiffness = CsrMatrix(indptr=kept, indices=indices[keep], data=a[keep])
     del a, keep
     mass = CsrMatrix(indptr=indptr, indices=indices, data=m)
-    beta = np.bincount(tets.ravel(), weights=np.repeat(vols / 4.0, 4),
-                       minlength=n)
-    return Assemblies(mesh=mesh, stiffness=stiffness, mass=mass, beta=beta)
+    return Assemblies(mesh=mesh, stiffness=stiffness, mass=mass)
 
 
 def inner_l2(mass: CsrMatrix, u: np.ndarray, w: np.ndarray) -> float:

@@ -104,10 +104,13 @@ class RunConfig:
     monitor_stability: bool = False
 
     def __post_init__(self):
-        for name, kind in (("integrator", IntegratorConfig),
-                           ("field", EffectiveField)):
+        for name, kind, noun in (
+                ("integrator", IntegratorConfig, "an IntegratorConfig"),
+                ("field", EffectiveField, "an EffectiveField"),
+                ("relax", (bool, np.bool_), "a bool"),
+                ("monitor_stability", (bool, np.bool_), "a bool")):
             if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name} must be an {kind.__name__}")
+                raise ConfigError(f"{name} must be {noun}")
         check_real(self.t_end, "t_end", positive=True, error=ConfigError)
         check_int(self.stride, "stride", 1, error=ConfigError)
         n_steps = self.t_end / self.integrator.k

@@ -279,6 +279,10 @@ def step(state: SimState, cfg: IntegratorConfig, field_cfg: EffectiveField,
 
     Raises NonFiniteStateError, naming the first vertex, if the new state
     is not finite (an overflow in the corrector, say)."""
+    for arg, x, kind in zip(("cfg", "field_cfg", "asm"), (cfg, field_cfg, asm),
+                            (IntegratorConfig, EffectiveField, Assemblies)):
+        if not isinstance(x, kind):
+            raise InvalidParameterError(f"{arg} must be an {kind.__name__}")
     m = real_array(state.m_curr, "m_curr", (asm.n, 3))
     check_int(state.ell, "ell", 0)
     t = state.ell * cfg.k

@@ -45,18 +45,19 @@ def edge_det(x, cof):
 class Mesh:
     """Tetrahedral triangulation: vertex coordinates plus 4-index cells.
 
-    Construction rejects coordinates that are not real numbers
-    (errors.real_array: InvalidParameterError), non-finite coordinates,
-    wrong shapes and a vertex that no tet uses (GeometryError: its lumped
-    mass would be 0), non-integer or out-of-range indices (ParseError)
-    and any tet whose signed volume e1.(e2 x e3)/6, e_k = x_k - x_0, is
-    not positive (GeometryError).  `volumes` and `h_max` come from that
-    one check.
+    Construction rejects non-real coordinates (errors.real_array:
+    InvalidParameterError), non-finite ones, wrong shapes, non-integer or
+    out-of-range indices (ParseError), a tet whose signed volume
+    e1.(e2 x e3)/6, e_k = x_k - x_0, is not positive and a vertex no tet
+    uses, whose lumped weight beta_z = sum of V/4 over its tets is not
+    positive (GeometryError).  `volumes`, `beta` and `h_max` come from
+    that one pass; every array the mesh holds is a read-only copy.
     """
 
     vertices: np.ndarray  # (N, 3) float64
     tets: np.ndarray      # (T, 4) int64
     volumes: np.ndarray = field(init=False)  # (T,) signed volumes, all > 0
+    beta: np.ndarray = field(init=False)     # (N,) lumped weights, all > 0
     h_max: float = field(init=False)         # longest tet edge
 
     def __post_init__(self):
@@ -90,16 +91,19 @@ class Mesh:
             bad = int(np.argmax(volumes <= 0.0))
             raise GeometryError(
                 f"tet {bad} has non-positive volume {volumes[bad]:.3e}")
-        uses = np.bincount(tets.ravel(), minlength=n)
-        if not uses.all():
+        beta = np.bincount(tets.ravel(), weights=np.repeat(volumes / 4.0, 4),
+                           minlength=n)
+        if not np.all(beta > 0.0):
             raise GeometryError(
-                f"vertex {int(np.argmin(uses))} is used by no tet")
+                f"vertex {int(np.argmin(beta > 0.0))} is used by no tet")
         # sqrt is monotone and correctly rounded, so the root of the largest
         # squared length is the largest np.linalg.norm of an edge, bitwise
-        h_max = math.sqrt(h_sq)
-        for name, value in (("vertices", vertices), ("tets", tets),
-                            ("volumes", volumes), ("h_max", h_max)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "h_max", math.sqrt(h_sq))
+        # copied last, once the bincount's weights are freed: a lower peak
+        for name, a in (("vertices", vertices.copy()), ("tets", tets.copy()),
+                        ("volumes", volumes), ("beta", beta)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n_vertices(self) -> int:

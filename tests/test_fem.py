@@ -32,6 +32,20 @@ class TestLumpedMass:
         assert cube2_asm.beta[center] == pytest.approx(
             mesh.volumes[incident].sum() / 4.0)
 
+    def test_beta_is_the_mesh_bincount_of_quarter_volumes(self):
+        # pins the summation order: one bincount over all 4T corners
+        for mesh in (perturbed_cube3(), perturbed_cube9()):
+            expected = np.bincount(mesh.tets.ravel(),
+                                   weights=np.repeat(mesh.volumes / 4.0, 4),
+                                   minlength=mesh.n_vertices)
+            assert np.array_equal(mesh.beta, expected)
+
+    def test_beta_is_the_read_only_mesh_beta(self):
+        asm = build_assemblies(build_cube_mesh(1, 1.0))
+        assert asm.beta is asm.mesh.beta
+        with pytest.raises(ValueError):
+            asm.beta[0] = 1.0
+
 
 def perturbed_cube(n, shift):
     mesh = build_cube_mesh(n, 1.0)
@@ -121,6 +135,22 @@ class TestElementStiffness:
 
 
 class TestAssembly:
+    def test_caller_writes_after_construction_change_nothing(self):
+        # the mesh once kept the caller's arrays: inverting t[0] gave a
+        # stiffness diagonal of -1/3 with no error
+        cube = build_cube_mesh(1, 1.0)
+        v, t = cube.vertices.copy(), cube.tets.copy()
+        mesh = Mesh(v, t)
+        before = build_assemblies(mesh)
+        t[0] = t[0][[0, 2, 1, 3]]
+        v[0] += 0.25
+        after = build_assemblies(mesh)
+        for a, b in ((before.stiffness, after.stiffness),
+                     (before.mass, after.mass)):
+            for x, y in zip(a.entries(), b.entries()):
+                assert np.array_equal(x, y)
+        assert np.array_equal(before.beta, after.beta)
+
     def test_stiffness_pattern_within_mass_pattern(self):
         for mesh in (build_cube_mesh(2, 1.0), perturbed_cube3()):
             asm = build_assemblies(mesh)

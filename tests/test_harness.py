@@ -278,13 +278,23 @@ class TestRunSimulation:
         (dict(integrator=None), "integrator must be an IntegratorConfig"),
         (dict(field=None), "field must be an EffectiveField"),
         (dict(field=Uniaxial(1.0, E3)), "field must be an EffectiveField"),
+        (dict(relax="no"), "relax must be a bool"),
+        (dict(relax=1), "relax must be a bool"),
+        (dict(monitor_stability="no"), "monitor_stability must be a bool"),
+        (dict(monitor_stability=None), "monitor_stability must be a bool"),
     ], ids=["integrator_str", "integrator_none", "field_none",
-            "field_uniaxial"])
+            "field_uniaxial", "relax_str", "relax_int", "monitor_str",
+            "monitor_none"])
     def test_run_config_holds_its_config_types(self, fields, match):
-        # a str integrator once raised AttributeError on .k, and a None
-        # field was accepted and failed inside the first trace row
+        # a str integrator once raised AttributeError on .k, a None field
+        # was accepted and failed inside the first trace row, and a str
+        # relax="no" was truthy and relaxed the run
         with pytest.raises(ConfigError, match=match):
             run_config(**fields)
+
+    def test_run_config_takes_numpy_bools(self):
+        cfg = run_config(relax=np.True_, monitor_stability=np.False_)
+        assert cfg.relax and not cfg.monitor_stability
 
     def test_t_end_must_be_multiple_of_k(self):
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ from llgpc import llg
 from llgpc.errors import (InvalidParameterError, NoConvergenceError,
                           NonFiniteStateError)
 from llgpc.fem import apply_Ph, discrete_laplacian, grad_sq, inner_l2
+from llgpc.harness import RunConfig
 from llgpc.llg import (EffectiveField, IntegratorConfig, SimState, Uniaxial,
                        corrector_pc2, corrector_project, damped_cross_block,
                        energy, lower_field, predictor_full,
@@ -535,6 +536,18 @@ class TestStep:
         with pytest.raises(InvalidParameterError, match="ell must be an int"):
             step(state, IntegratorConfig(scheme="PC1", k=1e-3),
                  EffectiveField(), cube2_asm)
+
+    @pytest.mark.parametrize("arg", ["cfg", "field_cfg", "asm"])
+    def test_wrongly_typed_arguments_named(self, cube2_asm, arg):
+        # each once raised a bare AttributeError from deep inside the step
+        ok = dict(cfg=IntegratorConfig(scheme="PC1", k=1e-3),
+                  field_cfg=EffectiveField(), asm=cube2_asm)
+        wrong = dict(cfg=RunConfig(ok["cfg"], ok["field_cfg"], 1e-2),
+                     field_cfg=None, asm=cube2_asm.mesh)
+        args = {**ok, arg: wrong[arg]}
+        state = SimState(0, uniform_field(cube2_asm.n))
+        with pytest.raises(InvalidParameterError, match=f"^{arg} must be"):
+            step(state, args["cfg"], args["field_cfg"], args["asm"])
 
     def test_numpy_integer_step_index_accepted(self, cube2_asm):
         state = SimState(ell=np.int64(3), m_curr=uniform_field(cube2_asm.n))

@@ -128,6 +128,15 @@ class TestMakeMesh:
         with pytest.raises(GeometryError, match="vertex 2 is used by no tet"):
             Mesh(verts, np.array([[0, 1, 3, 4]]))
 
+    def test_mesh_holds_read_only_copies(self):
+        v = UNIT_TET.copy()
+        t = np.array([[0, 1, 2, 3]])
+        mesh = Mesh(v, t)
+        assert mesh.vertices is not v and mesh.tets is not t
+        for a in (mesh.vertices, mesh.tets, mesh.volumes, mesh.beta):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_orientation_fix(self):
         mesh = oriented_mesh(UNIT_TET, [[0, 1, 3, 2]])
         assert mesh.tets.tolist() == [[0, 1, 2, 3]]
