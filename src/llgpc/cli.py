@@ -130,13 +130,12 @@ def _emit(text: str, out):
 
 def _cmd_mesh(args):
     mesh = _mesh_from_args(args)
-    asm = build_assemblies(mesh)
     print(f"vertices: {mesh.n_vertices}")
     print(f"tets: {mesh.n_tets}")
     print(f"h_max: {mesh.h_max!r}")
-    print(f"volume: {asm.volume!r}")
-    if args.check_angle:
-        report = check_angle_condition(asm.stiffness)
+    print(f"volume: {mesh.volume!r}")
+    if args.check_angle:  # the only mesh output that needs the stiffness
+        report = check_angle_condition(build_assemblies(mesh).stiffness)
         print(f"angle_condition: {'pass' if report.passed else 'FAIL'} "
               f"(worst off-diagonal {report.worst_offdiag:.3e})")
         if not report.passed:

@@ -70,7 +70,7 @@ class ParseError(LlgpcError, ValueError):
 
 class GeometryError(LlgpcError, ValueError):
     """A mesh is geometrically invalid: a non-finite coordinate, a vertex
-    that no tet uses, or a non-positive tet volume."""
+    that no tet uses, or a tet whose V/4 is no finite positive float."""
 
 
 class ProjectionDegenerateError(LlgpcError):

@@ -80,10 +80,6 @@ class Assemblies:
     def n(self) -> int:
         return self.mesh.n_vertices
 
-    @property
-    def volume(self) -> float:
-        return float(self.beta.sum())
-
 
 def build_assemblies(mesh: Mesh) -> Assemblies:
     """Stiffness and consistent mass, in blocks of tets; beta is the mesh's.
@@ -187,7 +183,7 @@ def check_angle_condition(stiffness: CsrMatrix) -> AngleConditionReport:
     rows, cols, vals = stiffness.entries()
     off = np.flatnonzero(rows != cols)  # stored positions, in order
     full = 0 < off.size == stiffness.n * (stiffness.n - 1)
-    bad = off[vals[off] > ANGLE_SLACK]
+    bad = off[~(vals[off] <= ANGLE_SLACK)]  # a NaN entry offends too
     # stable sort keeps stored order among equal values
     worst_first = bad[np.argsort(-vals[bad], kind="stable")]
     return AngleConditionReport(

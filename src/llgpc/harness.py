@@ -6,6 +6,7 @@ per (scheme, k) pair; the stability sweep one row per (theta, k) cell.
 """
 
 import csv
+import dataclasses
 import io
 import time
 from dataclasses import dataclass, fields
@@ -102,6 +103,7 @@ class RunConfig:
     stride: int = 1
     relax: bool = False
     monitor_stability: bool = False
+    n_steps: int = dataclasses.field(init=False)  # round(t_end / k)
 
     def __post_init__(self):
         for name, kind, noun in (
@@ -113,17 +115,14 @@ class RunConfig:
                 raise ConfigError(f"{name} must be {noun}")
         check_real(self.t_end, "t_end", positive=True, error=ConfigError)
         check_int(self.stride, "stride", 1, error=ConfigError)
-        n_steps = self.t_end / self.integrator.k
-        check_real(n_steps, "step count t_end / k", error=ConfigError)
-        if round(n_steps) < 1:
+        ratio = self.t_end / self.integrator.k
+        check_real(ratio, "step count t_end / k", error=ConfigError)
+        object.__setattr__(self, "n_steps", round(ratio))
+        if self.n_steps < 1:
             raise ConfigError(f"t_end={self.t_end} is less than one step "
                               f"k={self.integrator.k}")
-        if abs(n_steps - round(n_steps)) > 1e-9 * max(n_steps, 1.0):
+        if abs(ratio - self.n_steps) > 1e-9 * max(ratio, 1.0):
             raise ConfigError("t_end must be an integer multiple of k")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_end / self.integrator.k))
 
 
 @dataclass
@@ -139,7 +138,7 @@ def _mean_m(asm: Assemblies, m: np.ndarray) -> np.ndarray:
 
     Exact for the consistent-mass quadrature too, since M's row sums are beta.
     """
-    return asm.beta @ m / asm.volume
+    return asm.beta @ m / asm.mesh.volume
 
 
 def _row(asm, cfg: RunConfig, state: SimState, t0: float,

@@ -3,13 +3,13 @@
 A Mesh computes and validates its geometry once, when it is constructed,
 in blocks of TET_BLOCK tets: one gather of a block's corners gives its
 signed volumes, e1.(e2 x e3)/6 from the one cofactor row of the P1
-gradients they need (all must be positive), and its longest edge, so no
-full-size corner array is ever held.  Cube meshes use the Kuhn 6-tet
-subdivision of every grid cell with the same diagonal everywhere; the
-cell table is positively oriented by construction.  The triangulation is
-conforming, quasi-uniform and all its dihedral angles are at most pi/2,
-so the assembled stiffness has nonpositive off-diagonal entries
-(fem.check_angle_condition checks).
+gradients they need (each V/4 must be a finite positive float), and its
+longest edge, so no full-size corner array is ever held.  Cube meshes use
+the Kuhn 6-tet subdivision of every grid cell with the same diagonal
+everywhere; the cell table is positively oriented by construction.  The
+triangulation is conforming, quasi-uniform and all its dihedral angles
+are at most pi/2, so the assembled stiffness has nonpositive off-diagonal
+entries (fem.check_angle_condition checks).
 """
 
 import math
@@ -48,10 +48,11 @@ class Mesh:
     Construction rejects non-real coordinates (errors.real_array:
     InvalidParameterError), non-finite ones, wrong shapes, non-integer or
     out-of-range indices (ParseError), a tet whose signed volume
-    e1.(e2 x e3)/6, e_k = x_k - x_0, is not positive and a vertex no tet
-    uses, whose lumped weight beta_z = sum of V/4 over its tets is not
-    positive (GeometryError).  `volumes`, `beta` and `h_max` come from
-    that one pass; every array the mesh holds is a read-only copy.
+    V = e1.(e2 x e3)/6, e_k = x_k - x_0, has a V/4 that is no finite
+    positive float and a vertex no tet uses, whose lumped weight beta_z =
+    sum of V/4 over its tets is then 0 (GeometryError).  `volumes`, `beta`,
+    `volume` and `h_max` come from that one pass; every array the mesh
+    holds is a read-only copy.
     """
 
     vertices: np.ndarray  # (N, 3) float64
@@ -79,18 +80,21 @@ class Mesh:
             raise ParseError(f"tet index out of range (mesh has {n} vertices)")
         volumes = np.empty(len(tets))
         h_sq = 0.0  # largest squared edge length
-        for block in tet_blocks(len(tets)):
-            x = vertices.T[:, tets[block].T]  # (3, 4, B) corners
-            np.divide(edge_det(x, np.empty((1, 3, x.shape[2]))), 6.0,
-                      out=volumes[block])
-            h_sq = max(h_sq, *(
-                float(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
-                for d in (x[:, i] - x[:, j]
-                          for i, j in combinations(range(4), 2))))
-        if np.any(volumes <= 0.0):
-            bad = int(np.argmax(volumes <= 0.0))
-            raise GeometryError(
-                f"tet {bad} has non-positive volume {volumes[bad]:.3e}")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            for block in tet_blocks(len(tets)):
+                x = vertices.T[:, tets[block].T]  # (3, 4, B) corners
+                np.divide(edge_det(x, np.empty((1, 3, x.shape[2]))), 6.0,
+                          out=volumes[block])
+                h_sq = max(h_sq, *(
+                    float(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
+                    for d in (x[:, i] - x[:, j]
+                              for i, j in combinations(range(4), 2))))
+        bad = np.flatnonzero(~((volumes / 4.0 > 0.0) & (volumes < np.inf)))
+        if bad.size:  # each V/4 finite and positive: beta > 0 iff z is used
+            v = volumes[bad[0]]
+            raise GeometryError(f"tet {bad[0]} has " + (
+                f"non-positive volume {v:.3e}" if v <= 0.0 else
+                f"V/4 = {v / 4.0:.3e}, not a finite positive float"))
         beta = np.bincount(tets.ravel(), weights=np.repeat(volumes / 4.0, 4),
                            minlength=n)
         if not np.all(beta > 0.0):
@@ -104,6 +108,10 @@ class Mesh:
                         ("volumes", volumes), ("beta", beta)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+
+    @property
+    def volume(self) -> float:
+        return float(self.beta.sum())  # the domain volume
 
     @property
     def n_vertices(self) -> int:
@@ -189,20 +197,18 @@ def load_mesh(text: str) -> Mesh:
         raise ParseError(
             f"expected {n} vertex and {t} tet lines, found {len(rows) - 1}"
         )
-    vertices = np.empty((n, 3))
-    for i, (lineno, parts) in enumerate(rows[1:1 + n]):
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 coordinates")
+    # one rule per line: a vertex line holds 3 floats, a tet line 4 ints
+    rules = ((float, 3, "coordinates", "coordinate"),
+             (int, 4, "vertex indices", "index"))
+    numbers = ([], [])
+    for i, (lineno, parts) in enumerate(rows[1:]):
+        kind, width, many, one = rules[i >= n]
+        if len(parts) != width:
+            raise ParseError(f"line {lineno}: expected {width} {many}")
         try:
-            vertices[i] = [float(p) for p in parts]
+            numbers[i >= n].extend(kind(p) for p in parts)
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad coordinate") from exc
-    tets = np.empty((t, 4), dtype=np.int64)
-    for i, (lineno, parts) in enumerate(rows[1 + n:]):
-        if len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected 4 vertex indices")
-        try:
-            tets[i] = [int(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad index") from exc
-    return Mesh(vertices, tets)
+            raise ParseError(f"line {lineno}: bad {one}") from exc
+    # Mesh types and checks them: a huge index makes an object array
+    return Mesh(np.array(numbers[0], dtype=float).reshape(n, 3),
+                np.array(numbers[1]).reshape(t, 4))

@@ -116,6 +116,7 @@ def test_run_config_error_exit_code(capsys):
      "--alpha", "1e154", "--init", "random"],
     ["run", "--mesh-n", "2", "--T", "1e-2", "--k", "1e-2", "--scheme", "PC2",
      "--alpha", "1e100", "--init", "random"],
+    ["mesh", "--mesh-n", "1", "--edge", "1e103", "--check-angle"],
 ], ids=["run_T_inf", "converge_k_ref_0", "sweep_t_cap_inf", "seed_negative",
         "run_k_tiny", "sweep_k_tiny", "converge_k_ref_tiny", "run_zero_steps",
         "converge_zero_steps", "run_alpha_square_overflows",
@@ -123,7 +124,8 @@ def test_run_config_error_exit_code(capsys):
         "run_ellex_square_underflows", "run_uniaxial_over_ellex_square_overflows",
         "run_pc1_alpha_fourth_power_overflows",
         "run_pc2_alpha_fourth_power_overflows",
-        "run_pc2_alpha_1e100_fourth_power_overflows"])
+        "run_pc2_alpha_1e100_fourth_power_overflows",
+        "mesh_volume_overflows"])
 def test_bad_run_input_exit_code(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -142,6 +144,28 @@ def test_inverted_mesh_file_exit_code(command, tmp_path, capsys):
     path.write_text("tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 2 1 3\n")
     assert main(command + ["--mesh-file", str(path)]) == 2
     assert "tet 0 has non-positive volume" in capsys.readouterr().err
+
+
+def test_huge_index_mesh_file_exit_code(tmp_path, capsys):
+    # past int64: Mesh rejects the index array load_mesh hands it
+    path = tmp_path / "huge.txt"
+    path.write_text("tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "0 1 2 99999999999999999999\n")
+    assert main(["mesh", "--mesh-file", str(path)]) == 2
+    assert "tet indices must be integers" in capsys.readouterr().err
+
+
+def test_mesh_without_check_angle_assembles_nothing(monkeypatch, capsys):
+    def no_assembly(mesh):
+        raise AssertionError("build_assemblies called")
+
+    monkeypatch.setattr("llgpc.cli.build_assemblies", no_assembly)
+    assert main(["mesh", "--mesh-n", "2"]) == 0
+    capsys.readouterr()
+    assert main(["mesh", "--mesh-n", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "vertices: 125\ntets: 384\nh_max: 0.4330127018922193\n"
+        "volume: 0.9999999999999999\n")
 
 
 @pytest.mark.parametrize("command", [["mesh", "--check-angle"],

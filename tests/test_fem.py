@@ -445,6 +445,16 @@ class TestAngleCondition:
         assert len(report.offending) >= 1
         assert report.offending == _offending_by_scan(dense(stiffness))
 
+    def test_nan_offdiagonal_offends(self):
+        # a NaN coupling is no nonpositive entry: it must not pass
+        stiffness = csr_from_coo([0, 0, 1, 1], [0, 1, 0, 1],
+                                 [1.0, np.nan, -1.0, 1.0], 2)
+        report = check_angle_condition(stiffness)
+        assert report.passed is False
+        assert len(report.offending) == 1
+        assert report.offending[0][:2] == (0, 1)
+        assert np.isnan(report.offending[0][2])
+
     def test_report_worst_first_capped_at_ten(self):
         rng = np.random.Generator(np.random.Philox(9))
         cube = build_cube_mesh(2, 1.0)

@@ -27,6 +27,9 @@ class TestBuildCubeMesh:
         assert mesh.n_vertices == 8
         assert mesh.n_tets == 6
         assert mesh.volumes.sum() == pytest.approx(1.0)
+        # the domain volume is the sum of the lumped weights, bitwise
+        assert mesh.volume == float(mesh.beta.sum())
+        assert type(mesh.volume) is float
 
     def test_n1_tets_pinned(self):
         # corner (i, j, k) of the cell has index i + 2 j + 4 k; one Kuhn path
@@ -147,6 +150,19 @@ class TestMakeMesh:
         assert mesh.volumes.tolist() == [1.0 / 6.0]
         assert mesh.h_max == np.sqrt(2.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Mesh(UNIT_TET * 1e103, np.array([[0, 1, 2, 3]])),
+        lambda: build_cube_mesh(1, 1e103),
+        lambda: Mesh(UNIT_TET * 3.1e-108, np.array([[0, 1, 2, 3]])),
+    ], ids=["volume_overflows", "cube_volume_overflows",
+            "quarter_volume_underflows"])
+    def test_quarter_volume_must_be_a_finite_positive_float(self, build):
+        # beta sums V/4: an infinite V, or a subnormal V whose quarter
+        # rounds to 0, is named as its tet, not as an unused vertex, and
+        # raises no overflow warning first
+        with pytest.raises(GeometryError, match="tet 0 has V/4 = "):
+            build()
+
     def test_inverted_tet_rejected(self):
         with pytest.raises(GeometryError, match="tet 1 has non-positive"):
             Mesh(UNIT_TET, np.array([[0, 1, 2, 3], [0, 1, 3, 2]]))
@@ -225,6 +241,11 @@ class TestTextFormat:
         "tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n",
         "tetmesh 1 0\n0 0 zzz\n",
         "notamesh 4 1\n",
+        # indices past int64: an object array, and a float64 one
+        "tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+        "0 1 2 99999999999999999999\n",
+        "tetmesh 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+        "0 1 2 9223372036854775808\n",
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
